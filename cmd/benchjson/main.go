@@ -5,8 +5,11 @@
 // PRs (see docs/performance.md).
 //
 // Benchmark names of the form BenchmarkX/Model/variant-P are split into
-// benchmark, model (underscores restored to spaces) and variant; the
-// -P GOMAXPROCS suffix is dropped.
+// benchmark, model (underscores restored to spaces) and variant. Each row
+// also records the machine shape it was measured on: the -P GOMAXPROCS
+// suffix as procs and the `cpu:` header line go test prints per package as
+// cpu. Neither is part of a row's identity (cmd/perfdiff matches rows on
+// benchmark/model/variant).
 package main
 
 import (
@@ -32,6 +35,10 @@ type Row struct {
 	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
+	// CPU is the model name from the `cpu:` header preceding the row.
+	CPU string `json:"cpu,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran at (its -P name suffix).
+	Procs int `json:"procs,omitempty"`
 }
 
 // parseLine parses one `go test -bench` result line, reporting ok=false for
@@ -49,8 +56,8 @@ func parseLine(line string) (Row, bool) {
 
 	name := fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // drop the GOMAXPROCS suffix
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, row.Procs = name[:i], procs
 		}
 	}
 	parts := strings.Split(name, "/")
@@ -96,10 +103,17 @@ func parseLine(line string) (Row, bool) {
 // green CI run with no perf data.
 func convert(r io.Reader, w io.Writer) error {
 	rows := []Row{}
+	cpu := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	for sc.Scan() {
-		if row, ok := parseLine(sc.Text()); ok {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(rest)
+			continue
+		}
+		if row, ok := parseLine(line); ok {
+			row.CPU = cpu
 			rows = append(rows, row)
 		}
 	}

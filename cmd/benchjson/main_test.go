@@ -29,9 +29,16 @@ func TestParseLine(t *testing.T) {
 	if row.Iters != 20 || row.NsPerOp != 198690 || row.BytesPerOp != 52247 || row.AllocsPerOp != 9 {
 		t.Fatalf("metrics = %+v", row)
 	}
+	if row.Procs != 4 {
+		t.Fatalf("procs = %d, want the -4 suffix", row.Procs)
+	}
 	// A benchmark without sub-names keeps only the benchmark field.
+	row, ok = parseLine("BenchmarkFoo   100   123.5 ns/op")
+	if !ok || row.Benchmark != "BenchmarkFoo" || row.Procs != 0 {
+		t.Fatalf("benchmark without a -P suffix = %+v, ok=%v", row, ok)
+	}
 	row, ok = parseLine("BenchmarkFoo-8   100   123.5 ns/op")
-	if !ok || row.Benchmark != "BenchmarkFoo" || row.Model != "" || row.NsPerOp != 123.5 {
+	if !ok || row.Benchmark != "BenchmarkFoo" || row.Model != "" || row.NsPerOp != 123.5 || row.Procs != 8 {
 		t.Fatalf("plain benchmark = %+v, ok=%v", row, ok)
 	}
 	if row.Extra != nil {
@@ -78,6 +85,43 @@ func TestConvert(t *testing.T) {
 	}
 	if rows[2].Benchmark != "BenchmarkClusterRun" || rows[2].Model != "Inception v2" || rows[2].Variant != "" {
 		t.Fatalf("cluster row = %+v", rows[2])
+	}
+}
+
+// TestConvertRecordsMachineShape: every row carries the cpu header of its
+// package block and its own GOMAXPROCS, while the name fields that
+// cmd/perfdiff matches rows on stay exactly as before.
+func TestConvertRecordsMachineShape(t *testing.T) {
+	input := sampleBenchOutput + `goos: linux
+pkg: tictac/internal/service
+cpu: AMD EPYC 7B13
+BenchmarkBatchThroughput/AlexNet_v2/jobsN-16  	 50	 2000000 ns/op	 11520 variants/sec
+`
+	var out bytes.Buffer
+	if err := convert(strings.NewReader(input), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	if err := json.Unmarshal(out.Bytes(), &rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
+	}
+	for _, r := range rows[:3] {
+		if r.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || r.Procs != 4 {
+			t.Fatalf("sim row machine shape = %q/%d", r.CPU, r.Procs)
+		}
+	}
+	last := rows[3]
+	if last.CPU != "AMD EPYC 7B13" || last.Procs != 16 {
+		t.Fatalf("service row machine shape = %q/%d", last.CPU, last.Procs)
+	}
+	if last.Benchmark != "BenchmarkBatchThroughput" || last.Model != "AlexNet v2" || last.Variant != "jobsN" {
+		t.Fatalf("name split changed: %+v", last)
+	}
+	if !strings.Contains(out.String(), `"procs": 16`) || !strings.Contains(out.String(), `"cpu": "AMD EPYC 7B13"`) {
+		t.Fatalf("machine shape missing from JSON:\n%s", out.String())
 	}
 }
 

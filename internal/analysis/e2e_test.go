@@ -94,8 +94,8 @@ var mutations = []mutation{
 		name:     "hotpathalloc/sprintf-in-dispatch",
 		pattern:  "tictac/internal/sim",
 		file:     "internal/sim/runner.go",
-		old:      "op := r.ops[id]",
-		new:      "op := r.ops[id]\n\t_ = fmt.Sprintf(\"dispatch %d\", id)",
+		old:      "dur := p.Costs[id]",
+		new:      "dur := p.Costs[id]\n\t_ = fmt.Sprintf(\"dispatch %d\", id)",
 		analyzer: "hotpathalloc",
 		want:     "fmt.Sprintf allocates",
 	},

@@ -148,11 +148,11 @@ func (c Config) knownChannel(res string) bool {
 // A Cluster is read-only after Build: RunIteration, Run, ComputeSchedule and
 // ReferenceWorker only read the graph, so one Cluster may be shared by
 // concurrent goroutines — the parallel bench engine relies on this for the
-// repeated-run experiments (Figure 12, unique orders). The simulation hot
-// path goes through one lazily-built, concurrency-safe sim.Runner per
-// Cluster (the Runner recycles per-run buffers and compiled schedules
-// across the warmup+measure protocol), plus a cached reference-worker index
-// for the efficiency metric. ChainRecvsByOrder clones before mutating.
+// repeated-run experiments (Figure 12, unique orders). Simulations run as
+// summary runs of one lazily-built, concurrency-safe sim.Runner per graph,
+// fed from two compiled inputs: the per-graph factor-group and efficiency
+// index (shared with WithPlatforms children) and this Cluster's own cost
+// table. ChainRecvsByOrder clones before mutating.
 type Cluster struct {
 	Config Config
 	// Graph is the full multi-device DAG executed each iteration.
@@ -162,54 +162,41 @@ type Cluster struct {
 	// Params are the model's parameter tensors.
 	Params []model.Param
 
-	// runner is the reusable simulator for Graph, built on first use.
-	runnerOnce sync.Once
-	runner     *sim.Runner
-	runnerErr  error
+	// view is the graph compiled for the simulator, built on first use.
+	viewOnce sync.Once
+	view     *simView
+	viewErr  error
 
-	// effRef/effToRef are the cached reference-worker partition and the
-	// full-graph op ID → reference op ID mapping (-1 = not a first-
-	// iteration worker-0 op) used by the per-iteration efficiency metric.
-	effOnce  sync.Once
-	effRef   *graph.Graph
-	effToRef []int32
+	// costs is op ID → the cost model's duration, built on first use and
+	// freed with the Cluster.
+	costOnce sync.Once
+	costs    []float64
 }
 
-// simRunner returns the Cluster's shared simulator, building it on first
-// use. The Runner is safe for concurrent Run calls.
-func (c *Cluster) simRunner() (*sim.Runner, error) {
-	c.runnerOnce.Do(func() {
-		c.runner, c.runnerErr = sim.NewRunner(c.Graph)
+// simView returns the graph's compiled simulator view, building it on
+// first use. The view's Runner is safe for concurrent runs.
+func (c *Cluster) simView() (*simView, error) {
+	c.viewOnce.Do(func() {
+		c.view, c.viewErr = newSimView(c)
 	})
-	return c.runner, c.runnerErr
+	return c.view, c.viewErr
 }
 
-// effIndex returns the cached reference-worker partition and the dense
-// full-graph → reference op mapping, building both on first use.
-func (c *Cluster) effIndex() (*graph.Graph, []int32) {
-	c.effOnce.Do(func() {
-		ref := c.ReferenceWorker()
-		toRef := make([]int32, c.Graph.Len())
-		for i := range toRef {
-			toRef[i] = -1
+// costTable returns the cluster's cost model compiled into a dense table:
+// Oracle.Time of every op, indexed by op ID. Built once per Cluster — a
+// WithPlatforms child builds its own — so the simulator's dispatch reads a
+// slice instead of calling the oracle.
+func (c *Cluster) costTable() []float64 {
+	c.costOnce.Do(func() {
+		oracle := c.oracle()
+		ops := c.Graph.Ops()
+		costs := make([]float64, len(ops))
+		for _, op := range ops {
+			costs[op.ID] = oracle.Time(op)
 		}
-		prefix := c.refPrefix()
-		device := WorkerDevice(0)
-		for _, op := range c.Graph.Ops() {
-			if op.Device != device {
-				continue
-			}
-			name := op.Name
-			if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
-				continue // other iterations of a chained graph
-			}
-			if rop := ref.Op(name[len(prefix):]); rop != nil {
-				toRef[op.ID] = int32(rop.ID)
-			}
-		}
-		c.effRef, c.effToRef = ref, toRef
+		c.costs = costs
 	})
-	return c.effRef, c.effToRef
+	return c.costs
 }
 
 // WorkerDevice returns the device tag of worker i.
@@ -371,12 +358,12 @@ func Build(cfg Config) (*Cluster, error) {
 // WithPlatforms returns a cluster identical to c except for its cost model:
 // the given base platform plus optional heterogeneous overrides. The graph,
 // parameter sharding and per-graph simulator precomputation (the shared
-// sim.Runner and the efficiency index) are shared with c rather than
-// rebuilt — platforms never change topology, only per-op costs, which the
-// simulator resolves per run. The returned cluster is bit-identical in
+// sim.Runner, factor groups and efficiency index) are shared with c rather
+// than rebuilt — platforms never change topology, only per-op costs. The returned cluster is bit-identical in
 // every output to a fresh Build of the same configuration (regression-
 // tested), at none of the graph-construction cost; the batched what-if API
-// leans on this to amortize one graph across many platform variants.
+// leans on this to amortize one graph across many platform variants. Only
+// the cost table is the child's own, compiled on its first run.
 //
 // The receiver and the result are both read-only after this call and may be
 // used concurrently, like any built Cluster.
@@ -389,14 +376,11 @@ func (c *Cluster) WithPlatforms(platform timing.Platform, platforms *timing.Plat
 		return nil, err
 	}
 	nc := &Cluster{Config: cfg, Graph: c.Graph, Shard: c.Shard, Params: c.Params}
-	// Adopt the parent's per-graph state. If the parent's runner failed to
-	// build (or was never built), leave the child lazy: it would fail — or
-	// build — identically on first use.
-	if r, rerr := c.simRunner(); rerr == nil {
-		nc.runnerOnce.Do(func() { nc.runner = r })
+	// Adopt the parent's per-graph view. If it failed to build, leave the
+	// child lazy: it would fail identically on first use.
+	if v, verr := c.simView(); verr == nil {
+		nc.viewOnce.Do(func() { nc.view = v })
 	}
-	ref, toRef := c.effIndex()
-	nc.effOnce.Do(func() { nc.effRef, nc.effToRef = ref, toRef })
 	return nc, nil
 }
 
@@ -560,19 +544,15 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 	if warmupIters < 1 {
 		warmupIters = 5
 	}
-	runner, err := c.simRunner()
+	v, err := c.simView()
 	if err != nil {
 		return nil, err
 	}
 	tracer := timing.NewTracer()
+	plan := sim.Plan{Costs: c.costTable(), Jitter: c.Config.Platform.Jitter, Tracer: tracer}
 	for i := 0; i < warmupIters; i++ {
-		_, err := runner.Run(sim.Config{
-			Oracle: c.oracle(),
-			Seed:   seed + int64(i),
-			Jitter: c.Config.Platform.Jitter,
-			Tracer: tracer,
-		})
-		if err != nil {
+		plan.Seed = seed + int64(i)
+		if err := v.runner.Summarize(&plan, func(*sim.Summary) {}); err != nil {
 			return nil, err
 		}
 	}

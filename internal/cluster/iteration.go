@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"tictac/internal/core"
-	"tictac/internal/graph"
 	"tictac/internal/sim"
 	"tictac/internal/stats"
-	"tictac/internal/timing"
 )
 
 // Iteration summarizes one synchronized training/inference step.
@@ -96,6 +94,11 @@ func (s Straggler) active(iter int) bool {
 	return iter >= s.From && (s.Until <= s.From || iter < s.Until)
 }
 
+// slows reports whether the straggler changes durations at iteration iter.
+func (s Straggler) slows(iter int) bool {
+	return s.Factor > 0 && s.Factor != 1 && s.active(iter)
+}
+
 // Contention models background network traffic: every channel transfer's
 // duration is multiplied by Factor during iterations [From, Until), with
 // the same window semantics as Straggler.
@@ -145,47 +148,10 @@ type RunOptions struct {
 	timeline *Timeline
 }
 
-// costScale folds the straggler and contention windows active at this
-// iteration into a per-op duration multiplier for the simulator, or nil
-// when nothing is active (keeping the uninjected path bit-identical).
-func (c *Cluster) costScale(opts RunOptions) func(op *graph.Op) float64 {
-	deviceFactor := make(map[string]float64)
-	for _, s := range opts.Stragglers {
-		if s.Factor <= 0 || s.Factor == 1 || !s.active(opts.Iteration) {
-			continue
-		}
-		dev := WorkerDevice(s.Worker)
-		if deviceFactor[dev] == 0 {
-			deviceFactor[dev] = 1
-		}
-		deviceFactor[dev] *= s.Factor
-	}
-	net := 1.0
-	for _, cn := range opts.Contention {
-		if cn.Factor > 0 && cn.Factor != 1 && cn.active(opts.Iteration) {
-			net *= cn.Factor
-		}
-	}
-	if len(deviceFactor) == 0 && net == 1 {
-		return nil
-	}
-	return func(op *graph.Op) float64 {
-		if op.Kind == graph.Recv || op.Kind == graph.Send {
-			return net
-		}
-		if f, ok := deviceFactor[op.Device]; ok {
-			return f
-		}
-		return 1
-	}
-}
-
 // RunIteration simulates one synchronized iteration.
 func (c *Cluster) RunIteration(opts RunOptions) (*Iteration, error) {
-	for _, s := range opts.Stragglers {
-		if s.Worker < 0 || s.Worker >= c.Config.Workers {
-			return nil, fmt.Errorf("cluster: straggler worker %d out of range [0, %d)", s.Worker, c.Config.Workers)
-		}
+	if err := c.checkStragglers(opts.Stragglers); err != nil {
+		return nil, err
 	}
 	tl := opts.timeline
 	if tl == nil && len(opts.Events) > 0 {
@@ -195,54 +161,106 @@ func (c *Cluster) RunIteration(opts RunOptions) (*Iteration, error) {
 			return nil, err
 		}
 	}
-	jitter := opts.Jitter
-	if jitter < 0 {
-		jitter = c.Config.Platform.Jitter
-	}
-	runner, err := c.simRunner()
+	v, err := c.simView()
 	if err != nil {
 		return nil, err
 	}
-	if tl == nil || tl.Empty() {
-		return c.runPlainIteration(opts, jitter, runner)
+	it := &Iteration{}
+	if err := c.iterate(v, opts, tl, c.jitter(opts), &factors{}, it); err != nil {
+		return nil, err
 	}
-	return c.runChurnIteration(opts, tl, jitter, runner)
+	return it, nil
 }
 
-// runPlainIteration is the churn-free fast path: exactly the pre-membership
-// code, bit-identical in every float.
-func (c *Cluster) runPlainIteration(opts RunOptions, jitter float64, runner *sim.Runner) (*Iteration, error) {
-	res, err := runner.Run(sim.Config{
-		Oracle:      c.oracle(),
+// checkStragglers rejects straggler windows on workers outside the fleet.
+func (c *Cluster) checkStragglers(stragglers []Straggler) error {
+	for _, s := range stragglers {
+		if s.Worker < 0 || s.Worker >= c.Config.Workers {
+			return fmt.Errorf("cluster: straggler worker %d out of range [0, %d)", s.Worker, c.Config.Workers)
+		}
+	}
+	return nil
+}
+
+// jitter resolves the run's jitter: the option when >= 0, else the
+// platform default.
+func (c *Cluster) jitter(opts RunOptions) float64 {
+	if opts.Jitter < 0 {
+		return c.Config.Platform.Jitter
+	}
+	return opts.Jitter
+}
+
+// iterate simulates one protocol iteration through the summary run and
+// reads its outcome into it; a nil it runs the simulations and discards
+// their outcome (a warmup iteration). Without membership events it is one
+// simulation; with them see the churn notes below. f is the caller's
+// scratch for the per-group factor tables.
+//
+// Under membership events, when a fail strikes this iteration the fleet's
+// aborted attempt is simulated with the pre-fail membership on a derived
+// seed; the attempt's wall time up to the latest fail point is lost (its
+// in-flight transfers are dropped with it), and the reported run then
+// executes on the post-fail fleet at the iteration's own seed, re-fetching
+// parameters through its recv ops. PS shard failures and recoveries add
+// the shard's reload time. Makespan is the sum of that recovery overhead
+// and the reported run.
+//
+//tictac:hotpath
+func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter float64, f *factors, it *Iteration) error {
+	plan := sim.Plan{
+		Costs:       c.costTable(),
+		Groups:      v.groups,
 		Schedule:    opts.Schedule,
 		Seed:        opts.Seed,
 		Jitter:      jitter,
 		ReorderProb: opts.ReorderProb,
-		CostScale:   c.costScale(opts),
-	})
-	if err != nil {
-		return nil, err
 	}
-	it := &Iteration{
-		Makespan:      res.Makespan,
-		RecvOrder:     res.RecvStartOrder[WorkerDevice(0)],
-		ReorderEvents: res.ReorderEvents,
-		WorkerFinish:  make([]float64, 0, c.Config.Workers),
-		ActiveWorkers: c.Config.Workers,
+	if tl == nil || tl.Empty() {
+		plan.Scale = f.scaleFor(v, opts, nil)
+		return v.runner.Summarize(&plan, func(s *sim.Summary) {
+			if it != nil {
+				it.Makespan = s.Makespan
+				it.ActiveWorkers = c.Config.Workers
+				v.observe(s, nil, it)
+			}
+		})
 	}
-	minFinish := res.Makespan
-	for w := 0; w < c.Config.Workers; w++ {
-		f := res.DeviceFinish[WorkerDevice(w)]
-		it.WorkerFinish = append(it.WorkerFinish, f)
-		if f < minFinish {
-			minFinish = f
+
+	st := tl.stateAt(opts.Iteration)
+	recovery := 0.0
+	var abortedMakespan float64
+	if st.preActive != nil {
+		probe := plan
+		probe.Seed = abortSeed(opts.Seed)
+		probe.Scale = f.scaleFor(v, opts, st.preDegraded)
+		probe.Masked = f.maskFor(v, st.preActive)
+		err := v.runner.Summarize(&probe, func(s *sim.Summary) { abortedMakespan = s.Makespan })
+		if err != nil {
+			return err
 		}
+		maxPoint := 0.0
+		for _, e := range st.eventsHere {
+			if (e.Kind == WorkerFail || e.Kind == PSShardFail) && e.failPoint() > maxPoint {
+				maxPoint = e.failPoint()
+			}
+		}
+		recovery += maxPoint * abortedMakespan
 	}
-	if res.Makespan > 0 {
-		it.StragglerPct = (res.Makespan - minFinish) / res.Makespan * 100
-	}
-	it.Efficiency = c.iterationEfficiency(res)
-	return it, nil
+	plan.Scale = f.scaleFor(v, opts, st.degraded)
+	plan.Masked = f.maskFor(v, st.active)
+	return v.runner.Summarize(&plan, func(s *sim.Summary) {
+		if it == nil {
+			return
+		}
+		it.Events, recovery = c.eventOutcomes(st.eventsHere, abortedMakespan, recovery)
+		it.Makespan = recovery + s.Makespan
+		it.RecoverySeconds = recovery
+		it.ActiveWorkers = st.activeN
+		// Straggler effect is measured within the reported run, over the
+		// workers that actually executed it.
+		v.observe(s, st.active, it)
+	})
 }
 
 // abortSeed derives the aborted attempt's RNG stream from the iteration
@@ -263,50 +281,16 @@ func (c *Cluster) shardReload(ps int, bytes int64) float64 {
 	return plat.NetLatency + float64(bytes)/plat.NetBandwidth
 }
 
-// runChurnIteration simulates one iteration under membership events.
-//
-// When a fail strikes this iteration, the fleet's aborted attempt is
-// simulated with the pre-fail membership on a derived seed; the attempt's
-// wall time up to the latest fail point is lost (its in-flight transfers
-// are dropped with it), and the reported run then executes on the post-fail
-// fleet at the iteration's own seed, re-fetching parameters through its
-// recv ops. PS shard failures and recoveries add the shard's reload time.
-// Makespan is the sum of that recovery overhead and the reported run.
-func (c *Cluster) runChurnIteration(opts RunOptions, tl *Timeline, jitter float64, runner *sim.Runner) (*Iteration, error) {
-	st := tl.stateAt(opts.Iteration)
-
-	recovery := 0.0
-	var abortedMakespan float64
-	if st.preActive != nil {
-		probe, err := runner.Run(sim.Config{
-			Oracle:      c.oracle(),
-			Schedule:    opts.Schedule,
-			Seed:        abortSeed(opts.Seed),
-			Jitter:      jitter,
-			ReorderProb: opts.ReorderProb,
-			CostScale:   c.eventCostScale(opts, st.preDegraded),
-			Disabled:    c.membershipMask(st.preActive),
-		})
-		if err != nil {
-			return nil, err
-		}
-		abortedMakespan = probe.Makespan
-		maxPoint := 0.0
-		for _, e := range st.eventsHere {
-			if (e.Kind == WorkerFail || e.Kind == PSShardFail) && e.failPoint() > maxPoint {
-				maxPoint = e.failPoint()
-			}
-		}
-		recovery += maxPoint * abortedMakespan
-	}
-
+// eventOutcomes prices the membership events striking one iteration and
+// adds their shard reload times to recovery, event by event.
+func (c *Cluster) eventOutcomes(here []MembershipEvent, abortedMakespan, recovery float64) ([]EventOutcome, float64) {
 	var totalParamBytes int64
 	for _, p := range c.Params {
 		totalParamBytes += p.Bytes
 	}
 	loads := c.PSLoads()
-	events := make([]EventOutcome, 0, len(st.eventsHere))
-	for _, e := range st.eventsHere {
+	events := make([]EventOutcome, 0, len(here))
+	for _, e := range here {
 		out := EventOutcome{Kind: e.Kind, Worker: -1, PS: -1}
 		switch e.Kind {
 		case WorkerJoin:
@@ -332,78 +316,7 @@ func (c *Cluster) runChurnIteration(opts RunOptions, tl *Timeline, jitter float6
 		}
 		events = append(events, out)
 	}
-
-	res, err := runner.Run(sim.Config{
-		Oracle:      c.oracle(),
-		Schedule:    opts.Schedule,
-		Seed:        opts.Seed,
-		Jitter:      jitter,
-		ReorderProb: opts.ReorderProb,
-		CostScale:   c.eventCostScale(opts, st.degraded),
-		Disabled:    c.membershipMask(st.active),
-	})
-	if err != nil {
-		return nil, err
-	}
-	it := &Iteration{
-		Makespan:        recovery + res.Makespan,
-		RecvOrder:       res.RecvStartOrder[WorkerDevice(0)],
-		ReorderEvents:   res.ReorderEvents,
-		WorkerFinish:    make([]float64, 0, c.Config.Workers),
-		ActiveWorkers:   st.activeN,
-		RecoverySeconds: recovery,
-		Events:          events,
-	}
-	// Straggler effect is measured within the reported run, over the
-	// workers that actually executed it.
-	minFinish := res.Makespan
-	for w := 0; w < c.Config.Workers; w++ {
-		f := res.DeviceFinish[WorkerDevice(w)]
-		it.WorkerFinish = append(it.WorkerFinish, f)
-		if st.active[w] && f < minFinish {
-			minFinish = f
-		}
-	}
-	if res.Makespan > 0 {
-		it.StragglerPct = (res.Makespan - minFinish) / res.Makespan * 100
-	}
-	if st.active[0] {
-		it.Efficiency = c.iterationEfficiency(res)
-	} else {
-		// The reference worker did not run; the efficiency metric is
-		// undefined this iteration. Aggregates skip the sentinel.
-		it.Efficiency = -1
-	}
-	return it, nil
-}
-
-// iterationEfficiency computes E on the worker-0 partition using the
-// iteration's measured per-op durations, mirroring §3.2 ("for a given
-// iteration, we measure runtime of each op as well as the makespan of that
-// iteration and then calculate the bounds"). Durations are indexed by the
-// reference partition's op IDs through the Cluster's cached mapping — no
-// per-iteration graph rebuild and no string trimming in the loop.
-func (c *Cluster) iterationEfficiency(res *sim.Result) float64 {
-	ref, toRef := c.effIndex()
-	measured := make([]float64, ref.Len())
-	var start, end float64
-	first := true
-	for _, sp := range res.Spans {
-		ri := toRef[sp.Op.ID]
-		if ri < 0 {
-			continue // other devices, or other iterations of a chained graph
-		}
-		measured[ri] = sp.End - sp.Start
-		if first || sp.Start < start {
-			start = sp.Start
-			first = false
-		}
-		if sp.End > end {
-			end = sp.End
-		}
-	}
-	oracle := timing.OracleFunc(func(op *graph.Op) float64 { return measured[op.ID] })
-	return core.Efficiency(ref, oracle, end-start)
+	return events, recovery
 }
 
 // Experiment mirrors the paper's measurement protocol (§6): discard warmup
@@ -455,28 +368,38 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 			return nil, err
 		}
 	}
+	if err := c.checkStragglers(opts.Stragglers); err != nil {
+		return nil, err
+	}
+	v, err := c.simView()
+	if err != nil {
+		return nil, err
+	}
+	jitter := c.jitter(opts)
 	out := &Outcome{
 		MinEfficiency: 1,
-		Iterations:    make([]Iteration, 0, exp.Measure),
+		Iterations:    make([]Iteration, exp.Measure),
 	}
 	makespans := make([]float64, 0, exp.Measure)
 	throughputs := make([]float64, 0, exp.Measure)
 	effs := make([]float64, 0, exp.Measure)
-	orders := make(map[string]bool, exp.Measure)
+	orders := make([][]string, 0, exp.Measure)
 	batch := c.Config.batch()
+	var f factors
 	for i := 0; i < exp.Warmup+exp.Measure; i++ {
 		iterOpts := opts
 		iterOpts.Seed = opts.Seed + int64(i)*7919 // distinct per-iteration stream
 		iterOpts.Iteration = i                    // straggler/contention/membership windows index off this
-		iterOpts.timeline = tl
-		it, err := c.RunIteration(iterOpts)
-		if err != nil {
+		var it *Iteration
+		if i >= exp.Warmup {
+			it = &out.Iterations[i-exp.Warmup]
+		}
+		if err := c.iterate(v, iterOpts, tl, jitter, &f, it); err != nil {
 			return nil, err
 		}
-		if i < exp.Warmup {
+		if it == nil {
 			continue
 		}
-		out.Iterations = append(out.Iterations, *it)
 		makespans = append(makespans, it.Makespan)
 		// A chained graph processes batch × iterations samples per worker;
 		// only the iteration's active workers contribute samples.
@@ -491,7 +414,7 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 			out.MaxStragglerPct = it.StragglerPct
 		}
 		out.RecoverySeconds += it.RecoverySeconds
-		orders[joinKeys(it.RecvOrder)] = true
+		orders = addRecvOrder(orders, it.RecvOrder)
 	}
 	out.MeanThroughput = stats.Mean(throughputs)
 	out.MeanMakespan = stats.Mean(makespans)
@@ -500,19 +423,14 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 	return out, nil
 }
 
-// joinKeys flattens a key list into one NUL-separated string (a map key for
-// order uniqueness counting). One Grow-sized allocation instead of the
-// quadratic string concatenation it replaces.
-func joinKeys(keys []string) string {
-	var b strings.Builder
-	n := 0
-	for _, k := range keys {
-		n += len(k) + 1
+// addRecvOrder adds keys to the distinct worker-0 arrival orders unless an
+// equal order is already there. Orders of one run share their key strings,
+// so comparing two of them is a pointer comparison per key.
+func addRecvOrder(orders [][]string, keys []string) [][]string {
+	for _, o := range orders {
+		if slices.Equal(o, keys) {
+			return orders
+		}
 	}
-	b.Grow(n)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(0)
-	}
-	return b.String()
+	return append(orders, keys)
 }

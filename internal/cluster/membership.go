@@ -10,8 +10,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"tictac/internal/graph"
 )
 
 // EventKind names a cluster-membership event.
@@ -362,51 +360,4 @@ func (t *Timeline) resolve(iter int) *memberState {
 		s.degraded = degraded
 	}
 	return s
-}
-
-// membershipMask returns the simulator op mask hiding inactive workers'
-// replicas, or nil when the whole fleet is active (keeping the churn-free
-// path bit-identical). Masked ops release their successors instantly, so
-// parameter-server aggregates that fan in across workers never deadlock
-// on a departed worker's sends.
-//
-//tictac:hotpath
-func (c *Cluster) membershipMask(active []bool) func(op *graph.Op) bool {
-	inactive := make(map[string]bool)
-	for w, a := range active {
-		if !a {
-			inactive[WorkerDevice(w)] = true
-		}
-	}
-	if len(inactive) == 0 {
-		return nil
-	}
-	return func(op *graph.Op) bool { return inactive[op.Device] }
-}
-
-// eventCostScale layers degraded-shard multipliers over the straggler and
-// contention windows: every op whose parameter is sharded onto a degraded
-// PS — the shard's own serving/aggregation ops and all transfers of its
-// parameters — runs the shard's DegradedFactor slower. With no degraded
-// shard it returns the plain costScale unchanged.
-//
-//tictac:hotpath
-func (c *Cluster) eventCostScale(opts RunOptions, degraded []float64) func(op *graph.Op) float64 {
-	base := c.costScale(opts)
-	if degraded == nil {
-		return base
-	}
-	shard := c.Shard
-	return func(op *graph.Op) float64 {
-		f := 1.0
-		if base != nil {
-			f = base(op)
-		}
-		if op.Param != "" {
-			if d := degraded[shard[op.Param]]; d != 1 {
-				f *= d
-			}
-		}
-		return f
-	}
 }

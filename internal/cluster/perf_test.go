@@ -5,7 +5,10 @@ package cluster
 // the BenchmarkClusterRun microbenchmark behind `make perf`.
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"tictac/internal/core"
@@ -13,6 +16,7 @@ import (
 	"tictac/internal/model"
 	"tictac/internal/sim"
 	"tictac/internal/sim/simref"
+	"tictac/internal/stats"
 	"tictac/internal/timing"
 )
 
@@ -47,9 +51,10 @@ func refIterationEfficiency(c *Cluster, res *sim.Result) float64 {
 	return core.Efficiency(ref, oracle, end-start)
 }
 
-// TestIterationEfficiencyParity pins the ID-indexed efficiency rewrite to
-// the name-keyed original, bit for bit, on single- and multi-iteration
-// (chained) graphs.
+// TestIterationEfficiencyParity pins the index-driven efficiency of the
+// summary run to the name-keyed original, bit for bit, on single- and
+// multi-iteration (chained) graphs: both evaluate the same simulated run,
+// one from the frozen engine's spans, one from the Runner's summary.
 func TestIterationEfficiencyParity(t *testing.T) {
 	spec, _ := model.ByName("AlexNet v2")
 	for _, iters := range []int{1, 2} {
@@ -68,6 +73,10 @@ func TestIterationEfficiencyParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		v, err := c.simView()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for seed := int64(0); seed < 3; seed++ {
 			res, err := simref.Run(c.Graph, sim.Config{
 				Oracle:   c.oracle(),
@@ -79,7 +88,11 @@ func TestIterationEfficiencyParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := refIterationEfficiency(c, res)
-			got := c.iterationEfficiency(res)
+			var got float64
+			plan := sim.Plan{Costs: c.costTable(), Schedule: s, Seed: seed, Jitter: c.Config.Platform.Jitter}
+			if err := v.runner.Summarize(&plan, func(sum *sim.Summary) { got = v.efficiency(sum) }); err != nil {
+				t.Fatal(err)
+			}
 			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Fatalf("iters=%d seed=%d: efficiency %v != %v", iters, seed, got, want)
 			}
@@ -87,68 +100,376 @@ func TestIterationEfficiencyParity(t *testing.T) {
 	}
 }
 
-// TestRunIterationParityWithFrozenSim replays RunIteration's exact
-// simulator configuration through the frozen reference engine and checks
-// every Iteration field the experiments consume — the cluster-level
-// counterpart of the sim parity suite.
-func TestRunIterationParityWithFrozenSim(t *testing.T) {
-	spec, _ := model.ByName("Inception v1")
-	c, err := Build(Config{
-		Model:    spec,
-		Mode:     model.Training,
-		Workers:  3,
-		PS:       2,
-		Platform: timing.EnvG(),
-	})
-	if err != nil {
-		t.Fatal(err)
+// refCostScale is the per-op duration multiplier the cluster layer handed
+// the simulator before factor groups: straggler and contention windows
+// folded into closures over string-keyed maps, with degraded-shard factors
+// layered on top. nil when nothing scales.
+func refCostScale(c *Cluster, opts RunOptions, degraded []float64) func(op *graph.Op) float64 {
+	deviceFactor := make(map[string]float64)
+	for _, s := range opts.Stragglers {
+		if s.Factor <= 0 || s.Factor == 1 || !s.active(opts.Iteration) {
+			continue
+		}
+		dev := WorkerDevice(s.Worker)
+		if deviceFactor[dev] == 0 {
+			deviceFactor[dev] = 1
+		}
+		deviceFactor[dev] *= s.Factor
 	}
-	s, err := c.ComputeSchedule("tic", 2, 1)
-	if err != nil {
-		t.Fatal(err)
+	net := 1.0
+	for _, cn := range opts.Contention {
+		if cn.Factor > 0 && cn.Factor != 1 && cn.active(opts.Iteration) {
+			net *= cn.Factor
+		}
 	}
-	for seed := int64(1); seed < 4; seed++ {
-		opts := RunOptions{Schedule: s, Seed: seed, Jitter: -1, ReorderProb: 0.01}
-		it, err := c.RunIteration(opts)
+	var base func(op *graph.Op) float64
+	if len(deviceFactor) > 0 || net != 1 {
+		base = func(op *graph.Op) float64 {
+			if op.Kind == graph.Recv || op.Kind == graph.Send {
+				return net
+			}
+			if f, ok := deviceFactor[op.Device]; ok {
+				return f
+			}
+			return 1
+		}
+	}
+	if degraded == nil {
+		return base
+	}
+	return func(op *graph.Op) float64 {
+		f := 1.0
+		if base != nil {
+			f = base(op)
+		}
+		if op.Param != "" {
+			if d := degraded[c.Shard[op.Param]]; d != 1 {
+				f *= d
+			}
+		}
+		return f
+	}
+}
+
+// refMask is the membership mask as a per-op closure, nil when every
+// worker is active.
+func refMask(active []bool) func(op *graph.Op) bool {
+	inactive := make(map[string]bool)
+	for w, a := range active {
+		if !a {
+			inactive[WorkerDevice(w)] = true
+		}
+	}
+	if len(inactive) == 0 {
+		return nil
+	}
+	return func(op *graph.Op) bool { return inactive[op.Device] }
+}
+
+// refIteration replays one iteration the way the cluster layer ran it
+// before the summary run: the frozen simulator fed by the per-op closures
+// above, every output read back from materialized Results. simref predates
+// membership masks, so a masked run replays through sim.Run instead: the
+// Config path, which compiles the closures per run and is itself pinned
+// against simref for everything but the mask.
+func refIteration(t *testing.T, c *Cluster, opts RunOptions, tl *Timeline) *Iteration {
+	t.Helper()
+	jitter := opts.Jitter
+	if jitter < 0 {
+		jitter = c.Config.Platform.Jitter
+	}
+	run := func(seed int64, degraded []float64, active []bool) *sim.Result {
+		cfg := sim.Config{
+			Oracle:      c.oracle(),
+			Schedule:    opts.Schedule,
+			Seed:        seed,
+			Jitter:      jitter,
+			ReorderProb: opts.ReorderProb,
+			CostScale:   refCostScale(c, opts, degraded),
+			Disabled:    refMask(active),
+		}
+		engine := simref.Run
+		if cfg.Disabled != nil {
+			engine = sim.Run
+		}
+		res, err := engine(c.Graph, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := simref.Run(c.Graph, sim.Config{
-			Oracle:      c.oracle(),
-			Schedule:    opts.Schedule,
-			Seed:        opts.Seed,
-			Jitter:      c.Config.Platform.Jitter,
-			ReorderProb: opts.ReorderProb,
+		return res
+	}
+	if tl == nil || tl.Empty() {
+		res := run(opts.Seed, nil, nil)
+		it := &Iteration{
+			Makespan:      res.Makespan,
+			RecvOrder:     res.RecvStartOrder[WorkerDevice(0)],
+			ReorderEvents: res.ReorderEvents,
+			ActiveWorkers: c.Config.Workers,
+		}
+		minFinish := res.Makespan
+		for w := 0; w < c.Config.Workers; w++ {
+			f := res.DeviceFinish[WorkerDevice(w)]
+			it.WorkerFinish = append(it.WorkerFinish, f)
+			minFinish = math.Min(minFinish, f)
+		}
+		if res.Makespan > 0 {
+			it.StragglerPct = (res.Makespan - minFinish) / res.Makespan * 100
+		}
+		it.Efficiency = refIterationEfficiency(c, res)
+		return it
+	}
+	st := tl.stateAt(opts.Iteration)
+	recovery := 0.0
+	var aborted float64
+	if st.preActive != nil {
+		aborted = run(abortSeed(opts.Seed), st.preDegraded, st.preActive).Makespan
+		maxPoint := 0.0
+		for _, e := range st.eventsHere {
+			if e.Kind == WorkerFail || e.Kind == PSShardFail {
+				maxPoint = math.Max(maxPoint, e.failPoint())
+			}
+		}
+		recovery += maxPoint * aborted
+	}
+	loads := c.PSLoads()
+	for _, e := range st.eventsHere {
+		if e.Kind == PSShardFail || e.Kind == PSRecover {
+			recovery += c.shardReload(e.PS, loads[e.PS])
+		}
+	}
+	events, _ := c.eventOutcomes(st.eventsHere, aborted, 0)
+	res := run(opts.Seed, st.degraded, st.active)
+	it := &Iteration{
+		Makespan:        recovery + res.Makespan,
+		RecvOrder:       res.RecvStartOrder[WorkerDevice(0)],
+		ReorderEvents:   res.ReorderEvents,
+		ActiveWorkers:   st.activeN,
+		RecoverySeconds: recovery,
+		Events:          events,
+	}
+	minFinish := res.Makespan
+	for w := 0; w < c.Config.Workers; w++ {
+		f := res.DeviceFinish[WorkerDevice(w)]
+		it.WorkerFinish = append(it.WorkerFinish, f)
+		if st.active[w] {
+			minFinish = math.Min(minFinish, f)
+		}
+	}
+	if res.Makespan > 0 {
+		it.StragglerPct = (res.Makespan - minFinish) / res.Makespan * 100
+	}
+	it.Efficiency = -1
+	if st.active[0] {
+		it.Efficiency = refIterationEfficiency(c, res)
+	}
+	return it
+}
+
+// mustEqualIteration compares two iterations, floats bit for bit.
+func mustEqualIteration(t *testing.T, label string, want, got *Iteration) {
+	t.Helper()
+	floats := []struct {
+		name      string
+		want, got float64
+	}{
+		{"makespan", want.Makespan, got.Makespan},
+		{"straggler pct", want.StragglerPct, got.StragglerPct},
+		{"efficiency", want.Efficiency, got.Efficiency},
+		{"recovery", want.RecoverySeconds, got.RecoverySeconds},
+	}
+	for _, f := range floats {
+		if math.Float64bits(f.want) != math.Float64bits(f.got) {
+			t.Fatalf("%s: %s %v != %v", label, f.name, f.got, f.want)
+		}
+	}
+	if len(got.WorkerFinish) != len(want.WorkerFinish) {
+		t.Fatalf("%s: %d worker finishes != %d", label, len(got.WorkerFinish), len(want.WorkerFinish))
+	}
+	for w := range want.WorkerFinish {
+		if math.Float64bits(want.WorkerFinish[w]) != math.Float64bits(got.WorkerFinish[w]) {
+			t.Fatalf("%s: worker %d finish %v != %v", label, w, got.WorkerFinish[w], want.WorkerFinish[w])
+		}
+	}
+	if !reflect.DeepEqual(want.RecvOrder, got.RecvOrder) {
+		t.Fatalf("%s: recv order differs", label)
+	}
+	if want.ReorderEvents != got.ReorderEvents || want.ActiveWorkers != got.ActiveWorkers {
+		t.Fatalf("%s: reorders/active %d/%d != %d/%d", label,
+			got.ReorderEvents, got.ActiveWorkers, want.ReorderEvents, want.ActiveWorkers)
+	}
+	if !reflect.DeepEqual(want.Events, got.Events) {
+		t.Fatalf("%s: events %+v != %+v", label, got.Events, want.Events)
+	}
+}
+
+// parityScenarios are the injections the summary run's factor groups,
+// masks and cost tables must reproduce exactly.
+func parityScenarios(t *testing.T) []struct {
+	name string
+	c    *Cluster
+	opts RunOptions
+} {
+	t.Helper()
+	spec, _ := model.ByName("Inception v1")
+	build := func(pm *timing.PlatformMap) *Cluster {
+		c, err := Build(Config{
+			Model:     spec,
+			Mode:      model.Training,
+			Workers:   3,
+			PS:        2,
+			Platform:  timing.EnvG(),
+			Platforms: pm,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(it.Makespan) != math.Float64bits(res.Makespan) {
-			t.Fatalf("seed %d: makespan %v != %v", seed, it.Makespan, res.Makespan)
-		}
-		if it.ReorderEvents != res.ReorderEvents {
-			t.Fatalf("seed %d: reorder events %d != %d", seed, it.ReorderEvents, res.ReorderEvents)
-		}
-		wantOrder := res.RecvStartOrder[WorkerDevice(0)]
-		if len(it.RecvOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: recv order length %d != %d", seed, len(it.RecvOrder), len(wantOrder))
-		}
-		for i := range wantOrder {
-			if it.RecvOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: recv order differs at %d", seed, i)
+		return c
+	}
+	plain := build(nil)
+	pm := timing.NewPlatformMap(timing.EnvG()).
+		SetDevice(WorkerDevice(1), timing.EnvG().SlowedCompute(3)).
+		SetDevice(PSDevice(1), timing.EnvG().SlowedNet(2)).
+		SetChannel(ChannelResource(2, 0), timing.ChannelCost{Bandwidth: 1e8, Latency: 5e-4})
+	hetero := build(pm)
+	s, err := plain.ComputeSchedule("tic", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := RunOptions{Schedule: s, Jitter: -1, ReorderProb: 0.05}
+	with := func(f func(*RunOptions)) RunOptions {
+		o := base
+		f(&o)
+		return o
+	}
+	return []struct {
+		name string
+		c    *Cluster
+		opts RunOptions
+	}{
+		{"plain", plain, base},
+		{"platform-map", hetero, base},
+		{"straggler", plain, with(func(o *RunOptions) {
+			o.Stragglers = []Straggler{{Worker: 1, Factor: 2.5, From: 1, Until: 4}, {Worker: 1, Factor: 1.5, From: 2}}
+		})},
+		{"contention", hetero, with(func(o *RunOptions) {
+			o.Contention = []Contention{{Factor: 3, From: 2, Until: 5}}
+		})},
+		{"churn", plain, with(func(o *RunOptions) {
+			o.Stragglers = []Straggler{{Worker: 2, Factor: 2, From: 0}}
+			o.Events = []MembershipEvent{
+				{Kind: WorkerFail, Worker: 1, Iteration: 1, FailPoint: 0.3},
+				{Kind: PSShardFail, PS: 1, Iteration: 2, DegradedFactor: 3},
+				{Kind: WorkerJoin, Worker: 1, Iteration: 3},
+				{Kind: PSRecover, PS: 1, Iteration: 5},
+				{Kind: WorkerLeave, Worker: 0, Iteration: 5},
+			}
+		})},
+	}
+}
+
+// TestRunIterationParityWithFrozenSim replays RunIteration's exact
+// simulator configuration through the frozen reference engine and checks
+// every Iteration field, bit for bit, under each parity scenario: a plain
+// cluster, a PlatformMap with device and channel overrides, active
+// straggler and contention windows, and a churn timeline with a worker
+// fail, its rejoin, a degraded PS shard and a reference-worker departure.
+func TestRunIterationParityWithFrozenSim(t *testing.T) {
+	for _, sc := range parityScenarios(t) {
+		var tl *Timeline
+		if len(sc.opts.Events) > 0 {
+			var err error
+			if tl, err = NewTimeline(sc.c.Config.Workers, sc.c.Config.PS, sc.opts.Events); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if len(it.WorkerFinish) != c.Config.Workers {
-			t.Fatalf("seed %d: %d worker finishes", seed, len(it.WorkerFinish))
+		for iter := 0; iter < 6; iter++ {
+			opts := sc.opts
+			opts.Seed = int64(iter) + 1
+			opts.Iteration = iter
+			got, err := sc.c.RunIteration(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualIteration(t, fmt.Sprintf("%s/iter%d", sc.name, iter), refIteration(t, sc.c, opts, tl), got)
 		}
-		for w, f := range it.WorkerFinish {
-			if math.Float64bits(f) != math.Float64bits(res.DeviceFinish[WorkerDevice(w)]) {
-				t.Fatalf("seed %d: worker %d finish %v != %v", seed, w, f, res.DeviceFinish[WorkerDevice(w)])
+	}
+}
+
+// TestRunParityWithFrozenSim pins the whole protocol: Run's aggregates over
+// the summary run equal the pre-refactor aggregation (iterations through
+// the frozen engine, recv orders deduplicated by joined string) under
+// every parity scenario.
+func TestRunParityWithFrozenSim(t *testing.T) {
+	exp := Experiment{Warmup: 2, Measure: 4}
+	for _, sc := range parityScenarios(t) {
+		got, err := sc.c.Run(exp, sc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tl *Timeline
+		if len(sc.opts.Events) > 0 {
+			if tl, err = NewTimeline(sc.c.Config.Workers, sc.c.Config.PS, sc.opts.Events); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if want := refIterationEfficiency(c, res); math.Float64bits(it.Efficiency) != math.Float64bits(want) {
-			t.Fatalf("seed %d: efficiency %v != %v", seed, it.Efficiency, want)
+		want := &Outcome{MinEfficiency: 1}
+		var makespans, throughputs, effs []float64
+		orders := map[string]bool{}
+		for i := exp.Warmup; i < exp.Warmup+exp.Measure; i++ {
+			opts := sc.opts
+			opts.Seed = sc.opts.Seed + int64(i)*7919
+			opts.Iteration = i
+			it := refIteration(t, sc.c, opts, tl)
+			want.Iterations = append(want.Iterations, *it)
+			makespans = append(makespans, it.Makespan)
+			throughputs = append(throughputs, it.Throughput(sc.c.Config.batch(), it.ActiveWorkers))
+			if it.Efficiency >= 0 {
+				effs = append(effs, it.Efficiency)
+				want.MinEfficiency = math.Min(want.MinEfficiency, it.Efficiency)
+			}
+			want.MaxStragglerPct = math.Max(want.MaxStragglerPct, it.StragglerPct)
+			want.RecoverySeconds += it.RecoverySeconds
+			orders[strings.Join(it.RecvOrder, "\x00")] = true
 		}
+		want.MeanThroughput = stats.Mean(throughputs)
+		want.MeanMakespan = stats.Mean(makespans)
+		want.MeanEfficiency = stats.Mean(effs)
+		want.UniqueRecvOrders = len(orders)
+		for i := range want.Iterations {
+			mustEqualIteration(t, fmt.Sprintf("%s/measured%d", sc.name, i), &want.Iterations[i], &got.Iterations[i])
+		}
+		got.Iterations, want.Iterations = nil, nil
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: outcome %+v != %+v", sc.name, got, want)
+		}
+	}
+}
+
+// TestRunAllocsIndependentOfModel pins the summary run's allocation
+// profile: the protocol's allocations are the Outcome and its per-iteration
+// outputs, so their count does not depend on how many ops the model has.
+func TestRunAllocsIndependentOfModel(t *testing.T) {
+	counts := make([]float64, len(benchClusterModels))
+	for i, name := range benchClusterModels {
+		spec, _ := model.ByName(name)
+		c, err := Build(Config{Model: spec, Mode: model.Training, Workers: 4, PS: 1, Platform: timing.EnvG()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.ComputeSchedule("tic", 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := RunOptions{Schedule: s, Seed: 1, Jitter: -1, ReorderProb: 0.05}
+		counts[i] = testing.AllocsPerRun(5, func() {
+			if _, err := c.Run(DefaultExperiment, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("cluster.Run allocations differ by model: %s %.0f, %s %.0f",
+			benchClusterModels[0], counts[0], benchClusterModels[1], counts[1])
 	}
 }
 
@@ -156,15 +477,18 @@ func TestRunIterationParityWithFrozenSim(t *testing.T) {
 var benchClusterModels = []string{"AlexNet v2", "Inception v2"}
 
 // BenchmarkClusterRun measures the full warmup+measure protocol (the unit
-// of work every bench experiment point executes) with the per-Cluster
-// Runner and schedule reuse in steady state.
+// of work every bench experiment point and every /v1/simulate request
+// executes) in steady state. Per model, the plain row is the shootout
+// shape (4 workers, 1 PS, platform jitter, TIC); the whatif row is the
+// shape of a what-if batch variant: 4 workers, 2 PS, jitter and reorder
+// 0.05, one transient straggler window and a permanently slow worker.
 func BenchmarkClusterRun(b *testing.B) {
 	for _, name := range benchClusterModels {
 		spec, ok := model.ByName(name)
 		if !ok {
 			b.Fatalf("model %q missing from catalog", name)
 		}
-		c, err := Build(Config{
+		plain, err := Build(Config{
 			Model:    spec,
 			Mode:     model.Training,
 			Workers:  4,
@@ -174,19 +498,43 @@ func BenchmarkClusterRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := c.ComputeSchedule("tic", 2, 1)
+		whatif, err := Build(Config{
+			Model:     spec,
+			Mode:      model.Training,
+			Workers:   4,
+			PS:        2,
+			Platform:  timing.EnvG(),
+			Platforms: timing.NewPlatformMap(timing.EnvG()).SetDevice(WorkerDevice(3), timing.EnvG().SlowedCompute(2)),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		cases := []struct {
+			label string
+			c     *Cluster
+			opts  RunOptions
+		}{
+			{name, plain, RunOptions{Seed: 1, Jitter: -1}},
+			{name + "/whatif", whatif, RunOptions{Seed: 1, Jitter: 0.05, ReorderProb: 0.05,
+				Stragglers: []Straggler{{Worker: 1, Factor: 2, From: 1, Until: 3}}}},
+		}
 		exp := Experiment{Warmup: 2, Measure: 10}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(exp, RunOptions{Schedule: s, Seed: 1, Jitter: -1}); err != nil {
-					b.Fatal(err)
-				}
+		for _, tc := range cases {
+			s, err := tc.c.ComputeSchedule("tic", 2, 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			opts := tc.opts
+			opts.Schedule = s
+			b.Run(tc.label, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := tc.c.Run(exp, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

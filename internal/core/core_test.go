@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -514,5 +515,26 @@ func TestQuickEfficiencyMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPositionsMemoizedPerGraph: Positions equals Compile, returns one
+// shared table for repeated calls on a graph, and recompiles for another.
+func TestPositionsMemoizedPerGraph(t *testing.T) {
+	g, h := figure1(), figure1()
+	s, err := TAC(g, fixedOracle{def: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := s.Positions(g)
+	if !reflect.DeepEqual(pos, s.Compile(g)) {
+		t.Fatalf("Positions %v != Compile %v", pos, s.Compile(g))
+	}
+	if again := s.Positions(g); &again[0] != &pos[0] {
+		t.Fatal("second Positions call on the same graph recompiled")
+	}
+	other := s.Positions(h)
+	if &other[0] == &pos[0] || !reflect.DeepEqual(other, s.Compile(h)) {
+		t.Fatal("Positions for another graph reused the first graph's table")
 	}
 }

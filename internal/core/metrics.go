@@ -37,6 +37,12 @@ func Bounds(g *graph.Graph, oracle timing.Oracle) (upper, lower float64) {
 // change the makespan and E is defined as 1.
 func Efficiency(g *graph.Graph, oracle timing.Oracle, makespan float64) float64 {
 	u, l := Bounds(g, oracle)
+	return EfficiencyFromBounds(u, l, makespan)
+}
+
+// EfficiencyFromBounds is equation 3 on precomputed bounds (upper u, lower
+// l), for callers that evaluate the bounds without a graph and an oracle.
+func EfficiencyFromBounds(u, l, makespan float64) float64 {
 	if u <= l {
 		return 1
 	}

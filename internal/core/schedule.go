@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
+	"weak"
 
 	"tictac/internal/graph"
 	"tictac/internal/timing"
@@ -47,6 +49,17 @@ type Schedule struct {
 
 	posOnce  sync.Once
 	posCache map[string]int
+
+	// compiled memoizes the last Compile result for Positions. It lives
+	// and dies with the schedule and holds its graph weakly, so neither a
+	// simulator nor a cached schedule pins the other's memory.
+	compiled atomic.Pointer[compiledPositions]
+}
+
+// compiledPositions is one Compile result and the graph it belongs to.
+type compiledPositions struct {
+	g   weak.Pointer[graph.Graph]
+	pos []int32
 }
 
 // Key returns the transfer key used by schedules for the given op.
@@ -103,6 +116,20 @@ func (s *Schedule) Compile(g *graph.Graph) []int32 {
 			pos[op.ID] = int32(p)
 		}
 	}
+	return pos
+}
+
+// Positions is Compile memoized on the schedule: repeated calls for the
+// same graph return one shared table, which callers must not modify. The
+// memo holds one graph at a time; asking for another graph recompiles and
+// replaces it. The table is freed with the schedule, so a long-lived
+// simulator that runs many short-lived schedules retains none of them.
+func (s *Schedule) Positions(g *graph.Graph) []int32 {
+	if c := s.compiled.Load(); c != nil && c.g.Value() == g {
+		return c.pos
+	}
+	pos := s.Compile(g)
+	s.compiled.Store(&compiledPositions{g: weak.Make(g), pos: pos})
 	return pos
 }
 

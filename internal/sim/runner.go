@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,16 +17,23 @@ import (
 // NewRunner precomputes everything about the graph that the old one-shot
 // Run derived on every call — the sorted resource index, a flat successor
 // adjacency (CSR), per-op resource/device indices, transfer keys and
-// recv/transfer flags — and Run reuses the per-run mutable state (indegree,
-// ready queues, busy flags, event heap, RNG) across calls. A steady-state
-// Run therefore performs no heap allocations beyond the returned Result,
-// and its inner loop indexes dense int32 tables instead of hashing strings.
+// recv/transfer flags — and every run reuses the per-run mutable state
+// (indegree, ready queues, busy flags, event heap, RNG, per-op intervals)
+// across calls. Its inner loop indexes dense tables instead of hashing
+// strings or calling the cost model.
 //
-// Schedules are consumed in compiled form (core.Schedule.Compile); Run
-// memoizes one compiled table per distinct *core.Schedule, so the
-// warmup+measure protocol pays the compilation once.
+// One event loop serves two entry points. Summarize executes a Plan — the
+// run's inputs as op-ID-indexed tables — and hands the caller a Summary
+// read in place from the recycled buffers: a steady-state Summarize
+// allocates nothing. Run compiles a Config into a Plan on the same
+// buffers, executes it the same way and materializes a *Result from the
+// summary.
 //
-// A Runner is safe for concurrent use: each Run borrows an exclusive state
+// Schedules are consumed in compiled form through core.Schedule.Positions,
+// which memoizes the table on the schedule itself, so the warmup+measure
+// protocol pays the compilation once and the Runner retains no schedule.
+//
+// A Runner is safe for concurrent use: each run borrows an exclusive state
 // (a lock-free primary slot backed by a sync.Pool for concurrent overflow),
 // so any number of goroutines may execute the same Runner — the parallel
 // bench engine's repeated-run experiments rely on this. Results are
@@ -52,9 +60,6 @@ type Runner struct {
 	nRecvDevs  int // devices hosting at least one recv op
 
 	noSchedule []int32 // the nil schedule compiled: all -1
-
-	mu       sync.RWMutex
-	compiled map[*core.Schedule][]int32
 
 	// prime is the fast-path reusable state: single-goroutine callers hit
 	// it deterministically (no GC-emptied pool on the steady-state path);
@@ -97,7 +102,6 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		isRecv:     make([]bool, n),
 		isTransfer: make([]bool, n),
 		noSchedule: make([]int32, n),
-		compiled:   make(map[*core.Schedule][]int32),
 	}
 	recvDevs := make([]bool, len(devNames))
 	for i, op := range ops {
@@ -132,50 +136,111 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 	return r, nil
 }
 
-// compiledFor returns the memoized compiled table for the schedule.
-func (r *Runner) compiledFor(s *core.Schedule) []int32 {
+// DeviceIndex returns the index of a device tag in the Runner's sorted
+// device table — the index Summary.DeviceFinish and Summary.RecvOrder use —
+// or -1 when no op of the graph runs on it.
+func (r *Runner) DeviceIndex(device string) int {
+	i := sort.SearchStrings(r.devNames, device)
+	if i < len(r.devNames) && r.devNames[i] == device {
+		return i
+	}
+	return -1
+}
+
+// positions returns the compiled position table of the schedule.
+func (r *Runner) positions(s *core.Schedule) []int32 {
 	if s == nil {
 		return r.noSchedule
 	}
-	r.mu.RLock()
-	pos, ok := r.compiled[s]
-	r.mu.RUnlock()
-	if ok {
-		return pos
-	}
-	pos = s.Compile(r.g)
-	r.mu.Lock()
-	if prev, ok := r.compiled[s]; ok {
-		pos = prev // lost the build race; keep the first table
-	} else {
-		r.compiled[s] = pos
-	}
-	r.mu.Unlock()
-	return pos
+	return s.Positions(r.g)
 }
 
-// runState is the mutable per-run scratch. One state serves one Run at a
+// Plan is one run's inputs in the dense form the event loop executes:
+// every per-op quantity is a table indexed by op ID, or by a caller-defined
+// factor group, so a dispatch makes no interface call and no map lookup.
+// Run compiles a Config into a Plan; a caller that runs one graph under one
+// cost model many times (the cluster protocol) compiles its cost table once
+// and passes Plans to Summarize.
+type Plan struct {
+	// Costs is op ID → duration before scaling and jitter: Oracle.Time in
+	// table form. Required, one entry per op.
+	Costs []float64
+	// Groups maps op ID → factor group, the index into Scale and Masked.
+	// Nil makes every op its own group (Scale and Masked indexed by op ID).
+	Groups []int32
+	// Scale, when non-nil, is group → duration multiplier applied before
+	// jitter: Config.CostScale in table form.
+	Scale []float64
+	// Masked, when non-nil, is group → whether the group's ops are masked
+	// out of the run: Config.Disabled in table form.
+	Masked []bool
+	// Schedule, Seed, Jitter, ReorderProb and Tracer are as in Config.
+	Schedule    *core.Schedule
+	Seed        int64
+	Jitter      float64
+	ReorderProb float64
+	Tracer      *timing.Tracer
+}
+
+// Summary is a finished run read in place from the Runner's recycled
+// buffers: everything a Result holds, without building one. It is valid
+// only inside the Summarize callback; the next run reuses its storage.
+type Summary struct {
+	// Makespan is the completion time of the last op.
+	Makespan float64
+	// ReorderEvents counts injected schedule inversions.
+	ReorderEvents int
+	// Start and End are op ID → execution interval. They are meaningful
+	// only for executed ops (see Executed); a masked op's entries are stale.
+	Start, End []float64
+	// Done lists the executed ops in completion order.
+	Done []int32
+	// DeviceFinish is device index (see Runner.DeviceIndex) → finish time
+	// of the device's last executed op, 0 when none ran.
+	DeviceFinish []float64
+
+	recvOrd [][]int32 // device index → recv op IDs in dispatch order
+	groups  []int32   // the run's Plan.Groups and Plan.Masked
+	masked  []bool
+}
+
+// RecvOrder returns the op IDs of the device's recv ops in dispatch order
+// (the observable "order of received parameters", §2.2).
+func (s *Summary) RecvOrder(dev int) []int32 { return s.recvOrd[dev] }
+
+// Executed reports whether the op ran, i.e. was not masked out.
+func (s *Summary) Executed(id int32) bool {
+	if s.masked == nil {
+		return true
+	}
+	g := id
+	if s.groups != nil {
+		g = s.groups[id]
+	}
+	return !s.masked[g]
+}
+
+// runState is the mutable per-run scratch. One state serves one run at a
 // time; the Runner recycles states across runs.
 type runState struct {
-	rng       *rand.Rand
-	indeg     []int32
-	ready     [][]int32 // per resource, op IDs
-	busy      []bool
-	events    revHeap
-	unprio    []int32   // pick scratch: unprioritized candidates
-	cand      []int32   // incremental dispatch: sorted unique resource IDs
-	recvOrd   [][]int32 // per device, recv op IDs in dispatch order
-	devFinish []float64
+	out    Summary // the run's outputs; its slices are this state's buffers
+	rng    *rand.Rand
+	indeg  []int32
+	ready  [][]int32 // per resource, op IDs
+	busy   []bool
+	events revHeap
+	unprio []int32 // pick scratch: unprioritized candidates
+	cand   []int32 // incremental dispatch: sorted unique resource IDs
 
-	// Per-run configuration, copied out of Config so the hot functions
+	// cost and mask hold a Config compiled by Run; Summarize never
+	// touches them, so they are allocated on a state's first Run.
+	cost []float64
+	mask []bool
+
+	// The run's plan and compiled schedule, copied in so the hot functions
 	// take no extra arguments. Cleared when the state is recycled.
-	pos       []int32
-	oracle    timing.Oracle
-	costScale func(*graph.Op) float64
-	disabled  func(*graph.Op) bool
-	tracer    *timing.Tracer
-	jitter    float64
-	reorder   float64
+	plan Plan
+	pos  []int32
 
 	now      float64
 	seq      int32
@@ -183,15 +248,21 @@ type runState struct {
 }
 
 func (r *Runner) newState() *runState {
+	n := len(r.ops)
 	st := &runState{
-		rng:       rand.New(rand.NewSource(0)),
-		indeg:     make([]int32, len(r.ops)),
-		ready:     make([][]int32, len(r.resNames)),
-		busy:      make([]bool, len(r.resNames)),
-		unprio:    make([]int32, 0, 16),
-		cand:      make([]int32, 0, 16),
-		recvOrd:   make([][]int32, len(r.devNames)),
-		devFinish: make([]float64, len(r.devNames)),
+		rng:    rand.New(rand.NewSource(0)),
+		indeg:  make([]int32, n),
+		ready:  make([][]int32, len(r.resNames)),
+		busy:   make([]bool, len(r.resNames)),
+		unprio: make([]int32, 0, 16),
+		cand:   make([]int32, 0, 16),
+	}
+	st.out = Summary{
+		Start:        make([]float64, n),
+		End:          make([]float64, n),
+		Done:         make([]int32, 0, n),
+		DeviceFinish: make([]float64, len(r.devNames)),
+		recvOrd:      make([][]int32, len(r.devNames)),
 	}
 	st.events.xs = make([]rev, 0, len(r.resNames)+1)
 	return st
@@ -208,61 +279,118 @@ func (r *Runner) getState() *runState {
 }
 
 func (r *Runner) putState(st *runState) {
-	st.pos, st.oracle, st.costScale, st.disabled, st.tracer = nil, nil, nil, nil, nil
+	st.plan, st.pos = Plan{}, nil
+	st.out.groups, st.out.masked = nil, nil
 	if r.prime.CompareAndSwap(nil, st) {
 		return
 	}
 	r.statePool.Put(st)
 }
 
-// Run executes the graph once under the given configuration.
+// Summarize executes the plan once and calls fn with the run's summary
+// before its buffers are recycled; fn must not retain the summary or its
+// slices. fn is not called when the run fails. A steady-state Summarize
+// allocates nothing.
+//
+//tictac:hotpath
+func (r *Runner) Summarize(p *Plan, fn func(*Summary)) error {
+	if len(p.Costs) != len(r.ops) {
+		return fmt.Errorf("sim: Plan.Costs has %d entries for %d ops", len(p.Costs), len(r.ops))
+	}
+	if p.Groups != nil && len(p.Groups) != len(r.ops) {
+		return fmt.Errorf("sim: Plan.Groups has %d entries for %d ops", len(p.Groups), len(r.ops))
+	}
+	st := r.getState()
+	err := r.exec(p, st)
+	if err == nil {
+		fn(&st.out)
+	}
+	r.putState(st)
+	return err
+}
+
+// Run executes the graph once under the given configuration and returns
+// the materialized Result.
 //
 //tictac:hotpath
 func (r *Runner) Run(cfg Config) (*Result, error) {
 	if cfg.Oracle == nil {
 		return nil, fmt.Errorf("sim: Config.Oracle is required")
 	}
-	pos := r.compiledFor(cfg.Schedule)
 	st := r.getState()
-	res, err := r.run(cfg, pos, st)
+	p := r.compile(cfg, st)
+	err := r.exec(&p, st)
+	var res *Result
+	if err == nil {
+		res = r.result(&st.out)
+	}
 	r.putState(st)
 	return res, err
 }
 
-// run is the hot path. Everything it touches is either in the precomputed
-// Runner view, the recycled runState, or the freshly allocated Result.
+// compile turns a Config into a Plan on the state's buffers: the oracle
+// and cost scale folded into one per-op duration (the same product the
+// dispatch computed, rounded once), and the mask evaluated per op.
 //
 //tictac:hotpath
-func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
+func (r *Runner) compile(cfg Config, st *runState) Plan {
+	if st.cost == nil {
+		st.cost = make([]float64, len(r.ops))
+	}
+	for i, op := range r.ops {
+		d := cfg.Oracle.Time(op)
+		if cfg.CostScale != nil {
+			d *= cfg.CostScale(op)
+		}
+		st.cost[i] = d
+	}
+	p := Plan{
+		Costs:       st.cost,
+		Schedule:    cfg.Schedule,
+		Seed:        cfg.Seed,
+		Jitter:      cfg.Jitter,
+		ReorderProb: cfg.ReorderProb,
+		Tracer:      cfg.Tracer,
+	}
+	if cfg.Disabled != nil {
+		if st.mask == nil {
+			st.mask = make([]bool, len(r.ops))
+		}
+		for i, op := range r.ops {
+			st.mask[i] = cfg.Disabled(op)
+		}
+		p.Masked = st.mask
+	}
+	return p
+}
+
+// exec is the event loop. Everything it touches is either in the
+// precomputed Runner view, the plan's tables or the recycled runState; it
+// leaves the run's outputs in st.out.
+//
+//tictac:hotpath
+func (r *Runner) exec(p *Plan, st *runState) error {
 	// Reset recycled state. The RNG is re-seeded in place, which yields
 	// exactly the stream of rand.New(rand.NewSource(seed)).
-	st.rng.Seed(cfg.Seed)
+	st.rng.Seed(p.Seed)
 	copy(st.indeg, r.indeg0)
 	for ri := range st.ready {
 		st.ready[ri] = append(st.ready[ri][:0], r.initReady[ri]...)
 		st.busy[ri] = false
 	}
-	for di := range st.recvOrd {
-		st.recvOrd[di] = st.recvOrd[di][:0]
-		st.devFinish[di] = 0
+	out := &st.out
+	for di := range out.recvOrd {
+		out.recvOrd[di] = out.recvOrd[di][:0]
+		out.DeviceFinish[di] = 0
 	}
+	out.Done = out.Done[:0]
+	out.groups, out.masked = p.Groups, p.Masked
 	st.events.xs = st.events.xs[:0]
-	st.pos = pos
-	st.oracle = cfg.Oracle
-	st.costScale = cfg.CostScale
-	st.disabled = cfg.Disabled
-	st.tracer = cfg.Tracer
-	st.jitter = cfg.Jitter
-	st.reorder = cfg.ReorderProb
+	st.plan = *p
+	st.pos = r.positions(p.Schedule)
 	st.now = 0
 	st.seq = 0
 	st.reorders = 0
-
-	res := &Result{
-		Spans:          make([]Span, 0, len(r.ops)),
-		RecvStartOrder: make(map[string][]string, r.nRecvDevs),
-		DeviceFinish:   make(map[string]float64, len(r.devNames)),
-	}
 
 	for ri := range r.resNames {
 		r.dispatch(st, int32(ri))
@@ -274,9 +402,10 @@ func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
 		st.now = ev.at
 		st.busy[ev.res] = false
 		if !ev.masked {
-			res.Spans = append(res.Spans, Span{Op: r.ops[ev.op], Start: ev.start, End: ev.at})
-			if di := r.opDev[ev.op]; ev.at > st.devFinish[di] {
-				st.devFinish[di] = ev.at
+			out.End[ev.op] = ev.at
+			out.Done = append(out.Done, ev.op)
+			if di := r.opDev[ev.op]; ev.at > out.DeviceFinish[di] {
+				out.DeviceFinish[di] = ev.at
 			}
 		}
 		completed++
@@ -300,16 +429,32 @@ func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
 		}
 	}
 	if completed != len(r.ops) {
-		return nil, fmt.Errorf("sim: deadlock, completed %d of %d ops", completed, len(r.ops))
+		return fmt.Errorf("sim: deadlock, completed %d of %d ops", completed, len(r.ops))
 	}
+	out.Makespan = st.now
+	out.ReorderEvents = st.reorders
+	return nil
+}
 
-	res.Makespan = st.now
-	res.ReorderEvents = st.reorders
-	// Materialize the per-device views. One backing array serves every
-	// device's recv-order slice; full-capacity sub-slices keep appends by
-	// the caller (if any) from bleeding into a neighbour.
+// result materializes a Result from a summary: spans in completion order
+// and the per-device maps. One backing array serves every device's
+// recv-order slice; full-capacity sub-slices keep appends by the caller
+// (if any) from bleeding into a neighbour.
+//
+//tictac:hotpath
+func (r *Runner) result(s *Summary) *Result {
+	res := &Result{
+		Makespan:       s.Makespan,
+		ReorderEvents:  s.ReorderEvents,
+		Spans:          make([]Span, len(s.Done)),
+		RecvStartOrder: make(map[string][]string, r.nRecvDevs),
+		DeviceFinish:   make(map[string]float64, len(r.devNames)),
+	}
+	for i, id := range s.Done {
+		res.Spans[i] = Span{Op: r.ops[id], Start: s.Start[id], End: s.End[id]}
+	}
 	backing := make([]string, 0, r.totalRecvs)
-	for di, ids := range st.recvOrd {
+	for di, ids := range s.recvOrd {
 		if len(ids) == 0 {
 			continue
 		}
@@ -319,12 +464,12 @@ func (r *Runner) run(cfg Config, pos []int32, st *runState) (*Result, error) {
 		}
 		res.RecvStartOrder[r.devNames[di]] = backing[start:len(backing):len(backing)]
 	}
-	for di, finish := range st.devFinish {
+	for di, finish := range s.DeviceFinish {
 		if finish > 0 {
 			res.DeviceFinish[r.devNames[di]] = finish
 		}
 	}
-	return res, nil
+	return res
 }
 
 // addCand inserts a resource index into the sorted unique candidate list.
@@ -356,35 +501,40 @@ func (r *Runner) dispatch(st *runState, ri int32) {
 	if reordered {
 		st.reorders++
 	}
-	op := r.ops[id]
-	if st.disabled != nil && st.disabled(op) {
-		// Masked op: complete instantly with no span, no jitter draw, no
-		// recv-order entry — its only effect is releasing successors.
+	p := &st.plan
+	g := id
+	if p.Groups != nil {
+		g = p.Groups[id]
+	}
+	if p.Masked != nil && p.Masked[g] {
+		// Masked op: complete instantly with no interval, no jitter draw,
+		// no recv-order entry — its only effect is releasing successors.
 		st.busy[ri] = true
-		st.events.push(rev{at: st.now, seq: st.seq, start: st.now, op: id, res: ri, masked: true})
+		st.events.push(rev{at: st.now, seq: st.seq, op: id, res: ri, masked: true})
 		st.seq++
 		return
 	}
-	dur := st.oracle.Time(op)
-	if st.costScale != nil {
-		dur *= st.costScale(op)
+	dur := p.Costs[id]
+	if p.Scale != nil {
+		dur *= p.Scale[g]
 	}
-	if st.jitter > 0 {
-		factor := 1 + st.jitter*st.rng.NormFloat64()
+	if p.Jitter > 0 {
+		factor := 1 + p.Jitter*st.rng.NormFloat64()
 		if factor < 0.05 {
 			factor = 0.05
 		}
 		dur *= factor
 	}
-	if st.tracer != nil {
-		st.tracer.Record(op.Name, dur)
+	if p.Tracer != nil {
+		p.Tracer.Record(r.ops[id].Name, dur)
 	}
 	if r.isRecv[id] {
 		di := r.opDev[id]
-		st.recvOrd[di] = append(st.recvOrd[di], id)
+		st.out.recvOrd[di] = append(st.out.recvOrd[di], id)
 	}
+	st.out.Start[id] = st.now
 	st.busy[ri] = true
-	st.events.push(rev{at: st.now + dur, seq: st.seq, start: st.now, op: id, res: ri})
+	st.events.push(rev{at: st.now + dur, seq: st.seq, op: id, res: ri})
 	st.seq++
 }
 
@@ -427,7 +577,7 @@ func (r *Runner) pick(st *runState, ready []int32) (int32, bool) {
 	// transfers invert — the phenomenon lives in the RPC layer (§5.1), so
 	// prioritized PS-side ops (which share the parameter's schedule key)
 	// must not draw from the inversion stream.
-	if second >= 0 && st.reorder > 0 && r.isTransfer[best] && st.rng.Float64() < st.reorder {
+	if second >= 0 && st.plan.ReorderProb > 0 && r.isTransfer[best] && st.rng.Float64() < st.plan.ReorderProb {
 		return second, true
 	}
 	idx := st.rng.Intn(len(unprio) + 1)
@@ -455,7 +605,6 @@ func removeID(xs []int32, id int32) []int32 {
 // rev is one completion in the simulated timeline ("runner event").
 type rev struct {
 	at     float64
-	start  float64
 	seq    int32
 	op     int32
 	res    int32

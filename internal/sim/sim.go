@@ -16,12 +16,14 @@
 //   - Run is the one-shot convenience API: it builds a Runner and executes
 //     once. Cost: the per-graph precomputation is repeated on every call.
 //   - Runner is the reusable executor: NewRunner precomputes the graph view
-//     (resource index, flat adjacency, transfer keys) once, and Runner.Run
-//     reuses all per-run buffers, so steady-state runs allocate nothing
-//     beyond the returned Result. The cluster layer and the bench engine's
-//     repeated-run experiments use this path.
+//     (resource index, flat adjacency, transfer keys) once, and every run
+//     reuses all per-run buffers. Runner.Summarize executes a Plan (the
+//     run's inputs as dense per-op tables) and hands back a Summary read in
+//     place, allocating nothing in steady state; the cluster protocol uses
+//     it. Runner.Run compiles a Config into a Plan, runs the same event
+//     loop and allocates only the returned Result.
 //
-// Both paths are bit-identical: same RNG draw sequence, same floating-point
+// All paths are bit-identical: same RNG draw sequence, same floating-point
 // arithmetic, same results (see internal/sim/simref and the parity tests).
 package sim
 
