@@ -18,7 +18,7 @@ COVER_FLOOR ?= 80.5
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench fmt vet doc perf cover lint lint-internal lint-tools ci
+.PHONY: all build test benchmark-test race bench fmt vet doc perf cover lint lint-internal lint-tools ci
 
 all: build
 
@@ -27,6 +27,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark under benchmark/ is a module of its own, so `go test ./...`
+# never builds it. It calls the sim and cluster APIs, so a change that
+# breaks them fails here.
+benchmark-test:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Race gate: the packages with documented concurrency contracts — the real
 # TCP PS runtime, the simulator, the cluster layer, the scheduling-policy
@@ -104,4 +111,4 @@ lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-ci: fmt vet doc build test bench
+ci: fmt vet doc build test benchmark-test bench

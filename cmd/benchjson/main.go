@@ -7,9 +7,11 @@
 // Benchmark names of the form BenchmarkX/Model/variant-P are split into
 // benchmark, model (underscores restored to spaces) and variant. Each row
 // also records the machine shape it was measured on: the -P GOMAXPROCS
-// suffix as procs and the `cpu:` header line go test prints per package as
-// cpu. Neither is part of a row's identity (cmd/perfdiff matches rows on
-// benchmark/model/variant).
+// suffix as procs, the `cpu:` header line go test prints per package as
+// cpu, and the Go version as go. go test prints no version, so benchjson
+// records its own runtime.Version(): `make perf` runs it with the same
+// toolchain as the benchmarks. None of these is part of a row's identity
+// (cmd/perfdiff matches rows on benchmark/model/variant).
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -39,6 +42,8 @@ type Row struct {
 	CPU string `json:"cpu,omitempty"`
 	// Procs is the GOMAXPROCS the benchmark ran at (its -P name suffix).
 	Procs int `json:"procs,omitempty"`
+	// Go is the Go version the rows were converted with.
+	Go string `json:"go,omitempty"`
 }
 
 // parseLine parses one `go test -bench` result line, reporting ok=false for
@@ -114,6 +119,7 @@ func convert(r io.Reader, w io.Writer) error {
 		}
 		if row, ok := parseLine(line); ok {
 			row.CPU = cpu
+			row.Go = runtime.Version()
 			rows = append(rows, row)
 		}
 	}

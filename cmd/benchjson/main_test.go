@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -89,7 +90,8 @@ func TestConvert(t *testing.T) {
 }
 
 // TestConvertRecordsMachineShape: every row carries the cpu header of its
-// package block and its own GOMAXPROCS, while the name fields that
+// package block, its own GOMAXPROCS and the Go version (which go test does
+// not print: benchjson's own toolchain), while the name fields that
 // cmd/perfdiff matches rows on stay exactly as before.
 func TestConvertRecordsMachineShape(t *testing.T) {
 	input := sampleBenchOutput + `goos: linux
@@ -108,6 +110,11 @@ BenchmarkBatchThroughput/AlexNet_v2/jobsN-16  	 50	 2000000 ns/op	 11520 variant
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
+	for _, r := range rows {
+		if r.Go != runtime.Version() {
+			t.Fatalf("row %s/%s go = %q, want %q", r.Benchmark, r.Model, r.Go, runtime.Version())
+		}
+	}
 	for _, r := range rows[:3] {
 		if r.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || r.Procs != 4 {
 			t.Fatalf("sim row machine shape = %q/%d", r.CPU, r.Procs)
@@ -120,7 +127,8 @@ BenchmarkBatchThroughput/AlexNet_v2/jobsN-16  	 50	 2000000 ns/op	 11520 variant
 	if last.Benchmark != "BenchmarkBatchThroughput" || last.Model != "AlexNet v2" || last.Variant != "jobsN" {
 		t.Fatalf("name split changed: %+v", last)
 	}
-	if !strings.Contains(out.String(), `"procs": 16`) || !strings.Contains(out.String(), `"cpu": "AMD EPYC 7B13"`) {
+	if !strings.Contains(out.String(), `"procs": 16`) || !strings.Contains(out.String(), `"cpu": "AMD EPYC 7B13"`) ||
+		!strings.Contains(out.String(), `"go": "`+runtime.Version()+`"`) {
 		t.Fatalf("machine shape missing from JSON:\n%s", out.String())
 	}
 }

@@ -264,6 +264,9 @@ func TestRunRejectsEmptyExperiment(t *testing.T) {
 	if _, err := c.Run(Experiment{Warmup: 0, Measure: 0}, RunOptions{}); err == nil {
 		t.Fatal("empty experiment accepted")
 	}
+	if _, err := c.Run(Experiment{Warmup: -1, Measure: 3}, RunOptions{}); err == nil {
+		t.Fatal("negative warmup accepted")
+	}
 }
 
 func TestBatchFactor(t *testing.T) {

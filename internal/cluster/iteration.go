@@ -82,7 +82,7 @@ type Straggler struct {
 	Factor float64
 	// From is the first affected iteration index, counted across the
 	// experiment protocol including warmup (Run numbers iterations 0..N-1
-	// and stamps RunOptions.Iteration).
+	// and stamps RunOptions.Iteration on the measured ones).
 	From int
 	// Until is the first unaffected iteration again; Until <= From means
 	// the slowdown never ends once it starts.
@@ -128,8 +128,8 @@ type RunOptions struct {
 	ReorderProb float64
 	// Iteration is this iteration's index within the experiment protocol;
 	// it selects which Straggler and Contention windows are active. Run
-	// stamps it (warmup included); set it only when calling RunIteration
-	// directly.
+	// stamps it, counting warmup iterations; set it only when calling
+	// RunIteration directly.
 	Iteration int
 	// Stragglers injects transient per-worker compute slowdowns.
 	Stragglers []Straggler
@@ -192,8 +192,7 @@ func (c *Cluster) jitter(opts RunOptions) float64 {
 }
 
 // iterate simulates one protocol iteration through the summary run and
-// reads its outcome into it; a nil it runs the simulations and discards
-// their outcome (a warmup iteration). Without membership events it is one
+// reads its outcome into it. Without membership events it is one
 // simulation; with them see the churn notes below. f is the caller's
 // scratch for the per-group factor tables.
 //
@@ -219,11 +218,9 @@ func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter floa
 	if tl == nil || tl.Empty() {
 		plan.Scale = f.scaleFor(v, opts, nil)
 		return v.runner.Summarize(&plan, func(s *sim.Summary) {
-			if it != nil {
-				it.Makespan = s.Makespan
-				it.ActiveWorkers = c.Config.Workers
-				v.observe(s, nil, it)
-			}
+			it.Makespan = s.Makespan
+			it.ActiveWorkers = c.Config.Workers
+			v.observe(s, nil, it)
 		})
 	}
 
@@ -250,9 +247,6 @@ func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter floa
 	plan.Scale = f.scaleFor(v, opts, st.degraded)
 	plan.Masked = f.maskFor(v, st.active)
 	return v.runner.Summarize(&plan, func(s *sim.Summary) {
-		if it == nil {
-			return
-		}
 		it.Events, recovery = c.eventOutcomes(st.eventsHere, abortedMakespan, recovery)
 		it.Makespan = recovery + s.Makespan
 		it.RecoverySeconds = recovery
@@ -323,7 +317,11 @@ func (c *Cluster) eventOutcomes(here []MembershipEvent, abortedMakespan, recover
 // iterations, then record measured iterations; report the mean for
 // throughput and the maximum for straggler effect and efficiency deviation.
 type Experiment struct {
-	// Warmup iterations to discard (the paper discards 2).
+	// Warmup iterations to discard (the paper discards 2). They are
+	// counted, not simulated: simulated iterations share no state, so a
+	// discarded one would change nothing. They offset the measured
+	// iterations' seeds (Seed + i·7919) and window indices (Iteration i),
+	// which start at i = Warmup.
 	Warmup int
 	// Measure iterations to record (the paper records 10).
 	Measure int
@@ -360,6 +358,9 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 	if exp.Measure < 1 {
 		return nil, fmt.Errorf("cluster: experiment needs >= 1 measured iteration")
 	}
+	if exp.Warmup < 0 {
+		return nil, fmt.Errorf("cluster: experiment warmup %d is negative", exp.Warmup)
+	}
 	var tl *Timeline
 	if len(opts.Events) > 0 {
 		var err error
@@ -386,19 +387,14 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 	orders := make([][]string, 0, exp.Measure)
 	batch := c.Config.batch()
 	var f factors
-	for i := 0; i < exp.Warmup+exp.Measure; i++ {
+	// Warmup iterations are counted, not simulated (see Experiment.Warmup).
+	for i := exp.Warmup; i < exp.Warmup+exp.Measure; i++ {
 		iterOpts := opts
 		iterOpts.Seed = opts.Seed + int64(i)*7919 // distinct per-iteration stream
 		iterOpts.Iteration = i                    // straggler/contention/membership windows index off this
-		var it *Iteration
-		if i >= exp.Warmup {
-			it = &out.Iterations[i-exp.Warmup]
-		}
+		it := &out.Iterations[i-exp.Warmup]
 		if err := c.iterate(v, iterOpts, tl, jitter, &f, it); err != nil {
 			return nil, err
-		}
-		if it == nil {
-			continue
 		}
 		makespans = append(makespans, it.Makespan)
 		// A chained graph processes batch × iterations samples per worker;

@@ -476,9 +476,10 @@ func TestRunAllocsIndependentOfModel(t *testing.T) {
 // benchClusterModels is the BENCH_sim.json cluster-protocol model set.
 var benchClusterModels = []string{"AlexNet v2", "Inception v2"}
 
-// BenchmarkClusterRun measures the full warmup+measure protocol (the unit
-// of work every bench experiment point and every /v1/simulate request
-// executes) in steady state. Per model, the plain row is the shootout
+// BenchmarkClusterRun measures the experiment protocol (the unit of work
+// every bench experiment point and every /v1/simulate request executes) in
+// steady state: 2 warmup iterations, counted but not simulated, and 10
+// measured ones. Per model, the plain row is the shootout
 // shape (4 workers, 1 PS, platform jitter, TIC); the whatif row is the
 // shape of a what-if batch variant: 4 workers, 2 PS, jitter and reorder
 // 0.05, one transient straggler window and a permanently slow worker.

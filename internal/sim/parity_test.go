@@ -9,10 +9,12 @@ package sim_test
 // in the suite rests on this equivalence.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"tictac/internal/cluster"
+	"tictac/internal/core"
 	"tictac/internal/graph"
 	"tictac/internal/model"
 	"tictac/internal/sim"
@@ -241,4 +243,136 @@ func TestRunnerSharedScheduleMemo(t *testing.T) {
 			mustEqualResults(t, tc.label, want, got)
 		}
 	}
+}
+
+// TestRunnerParityWideCluster pins Runner.Run against the frozen reference
+// on a cluster with ten times the resources of the scenarios above, so
+// the event queue holds well over a hundred pending completions and its
+// heap is several levels deep. At jitter 0 the identical workers finish at
+// equal times and the completion order falls to the dispatch sequence.
+func TestRunnerParityWideCluster(t *testing.T) {
+	c := parityCluster(t, "VGG-16", 16, 8)
+	if n := len(c.Graph.Resources()); n != 152 {
+		t.Fatalf("VGG-16 at 16x8 has %d resources, want 152", n)
+	}
+	s, err := c.ComputeSchedule("tic", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.NewRunner(c.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := c.Config.Platform.Oracle()
+	for _, tc := range []struct {
+		label string
+		cfg   sim.Config
+	}{
+		{"tic/jitter0", sim.Config{Oracle: oracle, Schedule: s, Seed: 3}},
+		{"none", sim.Config{Oracle: oracle, Seed: 3}},
+		{"tic+jitter+reorder", sim.Config{Oracle: oracle, Schedule: s, Seed: 3, Jitter: 0.05, ReorderProb: 0.2}},
+	} {
+		want, err := simref.Run(c.Graph, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Run(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualResults(t, tc.label, want, got)
+	}
+}
+
+// TestRunnerMaskedParityWithZeroCost pins masked runs against the frozen
+// reference, which predates masks. At jitter 0 a masked op behaves like a
+// zero-cost op that records nothing: it completes at dispatch time and
+// takes part in the same tie-break draws. So a run with one worker masked
+// must equal the frozen run with that worker's costs scaled to 0 on every
+// output outside the masked device.
+func TestRunnerMaskedParityWithZeroCost(t *testing.T) {
+	for _, tc := range []struct {
+		model       string
+		workers, ps int
+		tic         bool
+		reorder     float64
+	}{
+		{"Inception v1", 4, 2, true, 0},
+		{"Inception v1", 4, 2, true, 0.2},
+		{"ResNet-50 v1", 4, 2, false, 0},
+		{"VGG-16", 16, 8, true, 0},
+	} {
+		label := fmt.Sprintf("%s/%dx%d/tic=%v/reorder=%v", tc.model, tc.workers, tc.ps, tc.tic, tc.reorder)
+		c := parityCluster(t, tc.model, tc.workers, tc.ps)
+		var s *core.Schedule
+		if tc.tic {
+			var err error
+			if s, err = c.ComputeSchedule("tic", 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := sim.NewRunner(c.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := cluster.WorkerDevice(1)
+		cfg := sim.Config{Oracle: c.Config.Platform.Oracle(), Schedule: s, Seed: 5, ReorderProb: tc.reorder}
+		masked := cfg
+		masked.Disabled = func(op *graph.Op) bool { return op.Device == dev }
+		zeroed := cfg
+		zeroed.CostScale = func(op *graph.Op) float64 {
+			if op.Device == dev {
+				return 0
+			}
+			return 1
+		}
+		want, err := simref.Run(c.Graph, zeroed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Run(masked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.DeviceFinish[dev] == 0 {
+			t.Fatalf("%s: the frozen run executed nothing on %s", label, dev)
+		}
+		if _, ok := got.DeviceFinish[dev]; ok {
+			t.Fatalf("%s: the masked run reports a finish time for %s", label, dev)
+		}
+		for _, sp := range got.Spans {
+			if sp.Op.Device == dev {
+				t.Fatalf("%s: the masked run recorded a span for %s", label, sp.Op.Name)
+			}
+		}
+		mustEqualResults(t, label, outsideDevice(want, dev), outsideDevice(got, dev))
+	}
+}
+
+// outsideDevice returns the parts of a result that do not belong to dev:
+// makespan, reorder count, the other devices' spans in completion order,
+// recv orders and finish times.
+func outsideDevice(r *sim.Result, dev string) *sim.Result {
+	out := &sim.Result{
+		Makespan:       r.Makespan,
+		ReorderEvents:  r.ReorderEvents,
+		RecvStartOrder: map[string][]string{},
+		DeviceFinish:   map[string]float64{},
+	}
+	for _, sp := range r.Spans {
+		if sp.Op.Device != dev {
+			out.Spans = append(out.Spans, sp)
+		}
+	}
+	for d, order := range r.RecvStartOrder {
+		if d != dev {
+			out.RecvStartOrder[d] = order
+		}
+	}
+	for d, finish := range r.DeviceFinish {
+		if d != dev {
+			out.DeviceFinish[d] = finish
+		}
+	}
+	return out
 }

@@ -52,7 +52,7 @@ func benchCluster(tb testing.TB, name string) (*cluster.Cluster, sim.Config) {
 // Runner's buffers have warmed up, Run allocates only the returned Result —
 // the Result struct, its Spans backing, the two per-device maps, and the
 // shared recv-order string backing. Everything else (indegree, ready
-// queues, event heap, RNG, pick scratch) is recycled.
+// queues, event queue, RNG) is recycled.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
 	c, cfg := benchCluster(t, "AlexNet v2")
 	r, err := sim.NewRunner(c.Graph)

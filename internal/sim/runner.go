@@ -18,7 +18,7 @@ import (
 // Run derived on every call — the sorted resource index, a flat successor
 // adjacency (CSR), per-op resource/device indices, transfer keys and
 // recv/transfer flags — and every run reuses the per-run mutable state
-// (indegree, ready queues, busy flags, event heap, RNG, per-op intervals)
+// (indegree, ready queues, busy flags, event queue, RNG, per-op intervals)
 // across calls. Its inner loop indexes dense tables instead of hashing
 // strings or calling the cost model.
 //
@@ -30,8 +30,9 @@ import (
 // summary.
 //
 // Schedules are consumed in compiled form through core.Schedule.Positions,
-// which memoizes the table on the schedule itself, so the warmup+measure
-// protocol pays the compilation once and the Runner retains no schedule.
+// which memoizes the table on the schedule itself, so the measured
+// iterations of a protocol pay the compilation once and the Runner retains
+// no schedule.
 //
 // A Runner is safe for concurrent use: each run borrows an exclusive state
 // (a lock-free primary slot backed by a sync.Pool for concurrent overflow),
@@ -58,8 +59,6 @@ type Runner struct {
 	isTransfer []bool
 	totalRecvs int
 	nRecvDevs  int // devices hosting at least one recv op
-
-	noSchedule []int32 // the nil schedule compiled: all -1
 
 	// prime is the fast-path reusable state: single-goroutine callers hit
 	// it deterministically (no GC-emptied pool on the steady-state path);
@@ -101,7 +100,6 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		key:        make([]string, n),
 		isRecv:     make([]bool, n),
 		isTransfer: make([]bool, n),
-		noSchedule: make([]int32, n),
 	}
 	recvDevs := make([]bool, len(devNames))
 	for i, op := range ops {
@@ -112,7 +110,6 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		r.isRecv[i] = op.Kind == graph.Recv
 		r.isTransfer[i] = op.Kind == graph.Recv || op.Kind == graph.Send
 		r.succOff[i+1] = r.succOff[i] + int32(op.NumOut())
-		r.noSchedule[i] = -1
 		if r.isRecv[i] {
 			r.totalRecvs++
 			if di := devIndex[op.Device]; !recvDevs[di] {
@@ -145,14 +142,6 @@ func (r *Runner) DeviceIndex(device string) int {
 		return i
 	}
 	return -1
-}
-
-// positions returns the compiled position table of the schedule.
-func (r *Runner) positions(s *core.Schedule) []int32 {
-	if s == nil {
-		return r.noSchedule
-	}
-	return s.Positions(r.g)
 }
 
 // Plan is one run's inputs in the dense form the event loop executes:
@@ -223,24 +212,30 @@ func (s *Summary) Executed(id int32) bool {
 // runState is the mutable per-run scratch. One state serves one run at a
 // time; the Runner recycles states across runs.
 type runState struct {
-	out    Summary // the run's outputs; its slices are this state's buffers
-	rng    *rand.Rand
-	indeg  []int32
-	ready  [][]int32 // per resource, op IDs
-	busy   []bool
-	events revHeap
-	unprio []int32 // pick scratch: unprioritized candidates
-	cand   []int32 // incremental dispatch: sorted unique resource IDs
+	out   Summary // the run's outputs; its slices are this state's buffers
+	rng   *rand.Rand
+	indeg []int32
+	ready [][]int32 // per resource, op IDs
+	busy  []bool
+	q     evq
+	cand  []int32 // incremental dispatch: sorted unique resource IDs
 
 	// cost and mask hold a Config compiled by Run; Summarize never
 	// touches them, so they are allocated on a state's first Run.
 	cost []float64
 	mask []bool
 
-	// The run's plan and compiled schedule, copied in so the hot functions
-	// take no extra arguments. Cleared when the state is recycled.
+	// The run's plan and compiled schedule (nil without one), copied in so
+	// the hot functions take no extra arguments. Cleared when the state is
+	// recycled.
 	plan Plan
 	pos  []int32
+
+	// cur is the resource whose completion the loop is handling, -1
+	// before the first. Its slot stays at the heap root for the whole
+	// dispatch phase, so a completion it dispatches waits in held.
+	cur  int32
+	held slot
 
 	now      float64
 	seq      int32
@@ -250,12 +245,15 @@ type runState struct {
 func (r *Runner) newState() *runState {
 	n := len(r.ops)
 	st := &runState{
-		rng:    rand.New(rand.NewSource(0)),
-		indeg:  make([]int32, n),
-		ready:  make([][]int32, len(r.resNames)),
-		busy:   make([]bool, len(r.resNames)),
-		unprio: make([]int32, 0, 16),
-		cand:   make([]int32, 0, 16),
+		rng:   rand.New(rand.NewSource(0)),
+		indeg: make([]int32, n),
+		ready: make([][]int32, len(r.resNames)),
+		busy:  make([]bool, len(r.resNames)),
+		q: evq{
+			slot: make([]slot, len(r.resNames)),
+			heap: make([]int32, 0, len(r.resNames)),
+		},
+		cand: make([]int32, 0, 16),
 	}
 	st.out = Summary{
 		Start:        make([]float64, n),
@@ -264,7 +262,6 @@ func (r *Runner) newState() *runState {
 		DeviceFinish: make([]float64, len(r.devNames)),
 		recvOrd:      make([][]int32, len(r.devNames)),
 	}
-	st.events.xs = make([]rev, 0, len(r.resNames)+1)
 	return st
 }
 
@@ -385,22 +382,27 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 	}
 	out.Done = out.Done[:0]
 	out.groups, out.masked = p.Groups, p.Masked
-	st.events.xs = st.events.xs[:0]
+	st.q.heap = st.q.heap[:0]
 	st.plan = *p
-	st.pos = r.positions(p.Schedule)
+	st.pos = nil
+	if p.Schedule != nil {
+		st.pos = p.Schedule.Positions(r.g)
+	}
 	st.now = 0
 	st.seq = 0
 	st.reorders = 0
 
+	st.cur = -1
 	for ri := range r.resNames {
 		r.dispatch(st, int32(ri))
 	}
 
 	completed := 0
-	for st.events.len() > 0 {
-		ev := st.events.pop()
+	for len(st.q.heap) > 0 {
+		res := st.q.heap[0]
+		ev := st.q.slot[res]
 		st.now = ev.at
-		st.busy[ev.res] = false
+		st.busy[res] = false
 		if !ev.masked {
 			out.End[ev.op] = ev.at
 			out.Done = append(out.Done, ev.op)
@@ -414,7 +416,8 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 		// had an empty ready queue after the previous event — the loop
 		// below keeps that invariant). Visit them in ascending resource
 		// order, exactly like the old full rescan did.
-		st.cand = append(st.cand[:0], ev.res)
+		st.cur = res
+		st.cand = append(st.cand[:0], res)
 		for k := r.succOff[ev.op]; k < r.succOff[ev.op+1]; k++ {
 			succ := r.succ[k]
 			st.indeg[succ]--
@@ -426,6 +429,14 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 		}
 		for _, ri := range st.cand {
 			r.dispatch(st, ri)
+		}
+		// Retire the handled completion. A freed resource that dispatched
+		// again replaces it at the root in one sift.
+		if st.busy[res] {
+			st.q.slot[res] = st.held
+			st.q.down(0)
+		} else {
+			st.q.pop()
 		}
 	}
 	if completed != len(r.ops) {
@@ -496,8 +507,14 @@ func (r *Runner) dispatch(st *runState, ri int32) {
 	if st.busy[ri] || len(st.ready[ri]) == 0 {
 		return
 	}
-	id, reordered := r.pick(st, st.ready[ri])
-	st.ready[ri] = removeID(st.ready[ri], id)
+	ready := st.ready[ri]
+	i, reordered := r.pick(st, ready)
+	id := ready[i]
+	// Swap-remove: the ready lists are unordered between picks, but the
+	// swap pattern fixes the order the next pick scans.
+	last := len(ready) - 1
+	ready[i] = ready[last]
+	st.ready[ri] = ready[:last]
 	if reordered {
 		st.reorders++
 	}
@@ -509,9 +526,7 @@ func (r *Runner) dispatch(st *runState, ri int32) {
 	if p.Masked != nil && p.Masked[g] {
 		// Masked op: complete instantly with no interval, no jitter draw,
 		// no recv-order entry — its only effect is releasing successors.
-		st.busy[ri] = true
-		st.events.push(rev{at: st.now, seq: st.seq, op: id, res: ri, masked: true})
-		st.seq++
+		st.complete(ri, slot{at: st.now, op: id, masked: true})
 		return
 	}
 	dur := p.Costs[id]
@@ -533,129 +548,166 @@ func (r *Runner) dispatch(st *runState, ri int32) {
 		st.out.recvOrd[di] = append(st.out.recvOrd[di], id)
 	}
 	st.out.Start[id] = st.now
-	st.busy[ri] = true
-	st.events.push(rev{at: st.now + dur, seq: st.seq, op: id, res: ri})
-	st.seq++
+	st.complete(ri, slot{at: st.now + dur, op: id})
 }
 
-// pick selects the next op from a ready list per the paper's rule (§3.1):
-// candidates are the ops holding the lowest priority number plus the
-// unprioritized ops; the choice among them is uniformly random. It consumes
-// exactly the RNG draws of the pre-Runner implementation (including the
-// Intn(1) draw when the candidate set is a singleton), so streams are
-// bit-identical. The second return value reports whether an injected
-// reorder error displaced the top-priority transfer.
+// complete marks resource ri busy and queues its pending completion e,
+// stamped with the next sequence number. During a dispatch phase the
+// handled resource's old completion still sits at the heap root, and the
+// loop replaces it once the phase ends, so that resource's next completion
+// is held aside until then. Every other completion queued in the phase is
+// later than the root in (at, seq) — at no earlier, seq larger — so its
+// sift-up stops below the root.
 //
 //tictac:hotpath
-func (r *Runner) pick(st *runState, ready []int32) (int32, bool) {
+func (st *runState) complete(ri int32, e slot) {
+	st.busy[ri] = true
+	e.seq = st.seq
+	st.seq++
+	if ri == st.cur {
+		st.held = e
+		return
+	}
+	st.q.push(ri, e)
+}
+
+// pick selects the next op from a ready list per the paper's rule (§3.1)
+// and returns its index in the list: candidates are the ops holding the
+// lowest priority number plus the unprioritized ops; the choice among them
+// is uniformly random. It consumes exactly the RNG draws of the pre-Runner
+// implementation (including the Intn(1) draw when the candidate set is a
+// singleton), so streams are bit-identical. The second return value
+// reports whether an injected reorder error displaced the top-priority
+// transfer.
+//
+//tictac:hotpath
+func (r *Runner) pick(st *runState, ready []int32) (int, bool) {
 	if len(ready) == 1 {
-		return ready[0], false
+		return 0, false
 	}
 	pos := st.pos
-	best, second := int32(-1), int32(-1)
+	if pos == nil {
+		return st.rng.Intn(len(ready)), false
+	}
+	best, second := -1, -1
 	bestPos, secondPos := int32(-1), int32(-1)
-	unprio := st.unprio[:0]
-	for _, id := range ready {
+	unprio := 0
+	for i, id := range ready {
 		p := pos[id]
 		if p < 0 {
-			unprio = append(unprio, id)
+			unprio++
 			continue
 		}
 		switch {
 		case best < 0 || p < bestPos:
 			second, secondPos = best, bestPos
-			best, bestPos = id, p
+			best, bestPos = i, p
 		case second < 0 || p < secondPos:
-			second, secondPos = id, p
+			second, secondPos = i, p
 		}
 	}
-	st.unprio = unprio // keep any grown capacity for the next pick
 	if best < 0 {
-		return unprio[st.rng.Intn(len(unprio))], false
+		// Nothing is prioritized: every op is a candidate.
+		return st.rng.Intn(len(ready)), false
 	}
 	// Injected gRPC-style inversion: dispatch the runner-up. Only network
 	// transfers invert — the phenomenon lives in the RPC layer (§5.1), so
 	// prioritized PS-side ops (which share the parameter's schedule key)
 	// must not draw from the inversion stream.
-	if second >= 0 && st.plan.ReorderProb > 0 && r.isTransfer[best] && st.rng.Float64() < st.plan.ReorderProb {
+	if second >= 0 && st.plan.ReorderProb > 0 && r.isTransfer[ready[best]] && st.rng.Float64() < st.plan.ReorderProb {
 		return second, true
 	}
-	idx := st.rng.Intn(len(unprio) + 1)
-	if idx == len(unprio) {
+	// The candidates are the unprioritized ops in list order, then best.
+	k := st.rng.Intn(unprio + 1)
+	if k == unprio {
 		return best, false
 	}
-	return unprio[idx], false
-}
-
-// removeID removes the first occurrence of id, swapping in the last element
-// (the ready lists are unordered between picks, but the swap pattern must
-// match the old implementation so subsequent scans see the same order).
-//
-//tictac:hotpath
-func removeID(xs []int32, id int32) []int32 {
-	for i, x := range xs {
-		if x == id {
-			xs[i] = xs[len(xs)-1]
-			return xs[:len(xs)-1]
+	// Walk to the k-th unprioritized op.
+	i := -1
+	for k >= 0 {
+		i++
+		if pos[ready[i]] < 0 {
+			k--
 		}
 	}
-	return xs
+	return i, false
 }
 
-// rev is one completion in the simulated timeline ("runner event").
-type rev struct {
+// slot is a resource's pending completion.
+type slot struct {
 	at     float64
-	seq    int32
+	seq    int32 // dispatch order: breaks ties in at
 	op     int32
-	res    int32
 	masked bool // Disabled op: releases successors, records nothing
 }
 
-// revHeap is a binary min-heap ordered by (at, seq).
-type revHeap struct{ xs []rev }
-
-func (h *revHeap) len() int { return len(h.xs) }
-
-func (h *revHeap) less(i, j int) bool {
-	if h.xs[i].at != h.xs[j].at {
-		return h.xs[i].at < h.xs[j].at
-	}
-	return h.xs[i].seq < h.xs[j].seq
+// evq is the pending-completion queue, keyed by resource. A resource runs
+// one op at a time, so it has at most one pending completion: its slot.
+// heap holds the resources with a pending completion as a binary min-heap
+// ordered by their slots' (at, seq). seq is unique, so that order is total
+// and the completion order does not depend on the heap's shape.
+type evq struct {
+	slot []slot  // resource index → pending completion
+	heap []int32 // resource indices
 }
 
-func (h *revHeap) push(e rev) {
-	h.xs = append(h.xs, e)
-	i := len(h.xs) - 1
+//tictac:hotpath
+func (q *evq) less(a, b int32) bool {
+	if q.slot[a].at != q.slot[b].at {
+		return q.slot[a].at < q.slot[b].at
+	}
+	return q.slot[a].seq < q.slot[b].seq
+}
+
+// push sets ri's pending completion and adds ri to the heap.
+//
+//tictac:hotpath
+func (q *evq) push(ri int32, e slot) {
+	q.slot[ri] = e
+	i := len(q.heap)
+	q.heap = append(q.heap, ri)
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(i, p) {
+		if !q.less(ri, q.heap[p]) {
 			break
 		}
-		h.xs[i], h.xs[p] = h.xs[p], h.xs[i]
+		q.heap[i] = q.heap[p]
 		i = p
+	}
+	q.heap[i] = ri
+}
+
+// pop removes the root.
+//
+//tictac:hotpath
+func (q *evq) pop() {
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap = q.heap[:last]
+	if last > 0 {
+		q.down(0)
 	}
 }
 
-func (h *revHeap) pop() rev {
-	top := h.xs[0]
-	last := len(h.xs) - 1
-	h.xs[0] = h.xs[last]
-	h.xs = h.xs[:last]
-	i := 0
+// down restores the heap order below i after i's key grew.
+//
+//tictac:hotpath
+func (q *evq) down(i int) {
+	ri := q.heap[i]
+	n := len(q.heap)
 	for {
-		l, rc := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.xs) && h.less(l, small) {
-			small = l
-		}
-		if rc < len(h.xs) && h.less(rc, small) {
-			small = rc
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.xs[i], h.xs[small] = h.xs[small], h.xs[i]
-		i = small
+		if c+1 < n && q.less(q.heap[c+1], q.heap[c]) {
+			c++
+		}
+		if !q.less(q.heap[c], ri) {
+			break
+		}
+		q.heap[i] = q.heap[c]
+		i = c
 	}
-	return top
+	q.heap[i] = ri
 }
