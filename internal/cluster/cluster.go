@@ -12,6 +12,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"weak"
 
 	"tictac/internal/core"
 	"tictac/internal/graph"
@@ -152,7 +153,10 @@ func (c Config) knownChannel(res string) bool {
 // summary runs of one lazily-built, concurrency-safe sim.Runner per graph,
 // fed from two compiled inputs: the per-graph factor-group and efficiency
 // index (shared with WithPlatforms children) and this Cluster's own cost
-// table. ChainRecvsByOrder clones before mutating.
+// table. The reference worker partition is likewise one read-only graph per
+// cluster graph, shared with WithPlatforms children and held weakly, so it
+// is built once while anyone uses it and pins no memory after.
+// ChainRecvsByOrder clones before mutating.
 type Cluster struct {
 	Config Config
 	// Graph is the full multi-device DAG executed each iteration.
@@ -161,6 +165,10 @@ type Cluster struct {
 	Shard map[string]int
 	// Params are the model's parameter tensors.
 	Params []model.Param
+
+	// ref holds the reference worker partition; shared by every
+	// WithPlatforms child of the same graph.
+	ref *refHolder
 
 	// view is the graph compiled for the simulator, built on first use.
 	viewOnce sync.Once
@@ -352,14 +360,15 @@ func Build(cfg Config) (*Cluster, error) {
 	if err := full.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params}, nil
+	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, ref: new(refHolder)}, nil
 }
 
 // WithPlatforms returns a cluster identical to c except for its cost model:
 // the given base platform plus optional heterogeneous overrides. The graph,
-// parameter sharding and per-graph simulator precomputation (the shared
-// sim.Runner, factor groups and efficiency index) are shared with c rather
-// than rebuilt — platforms never change topology, only per-op costs. The returned cluster is bit-identical in
+// parameter sharding, reference worker and per-graph simulator
+// precomputation (the shared sim.Runner, factor groups and efficiency
+// index) are shared with c rather than rebuilt — platforms never change
+// topology, only per-op costs. The returned cluster is bit-identical in
 // every output to a fresh Build of the same configuration (regression-
 // tested), at none of the graph-construction cost; the batched what-if API
 // leans on this to amortize one graph across many platform variants. Only
@@ -375,7 +384,7 @@ func (c *Cluster) WithPlatforms(platform timing.Platform, platforms *timing.Plat
 	if err != nil {
 		return nil, err
 	}
-	nc := &Cluster{Config: cfg, Graph: c.Graph, Shard: c.Shard, Params: c.Params}
+	nc := &Cluster{Config: cfg, Graph: c.Graph, Shard: c.Shard, Params: c.Params, ref: c.ref}
 	// Adopt the parent's per-graph view. If it failed to build, leave the
 	// child lazy: it would fail identically on first use.
 	if v, verr := c.simView(); verr == nil {
@@ -454,11 +463,39 @@ func (c *Cluster) refPrefix() string {
 	return "w0/"
 }
 
+// refHolder is one cluster graph's reference worker partition, held
+// weakly: while any caller still uses the graph, every ReferenceWorker call
+// returns it; once a GC has collected it, the next call rebuilds it.
+type refHolder struct {
+	mu sync.Mutex
+	//tictac:guardedby mu
+	g weak.Pointer[graph.Graph]
+}
+
 // ReferenceWorker returns the partition of worker 0 (first iteration) with
 // names un-prefixed — the graph the ordering wizard consumes (§4: "a
 // reference worker partition"; all replicas and iterations are identical so
 // one schedule serves all).
+//
+// The result is shared and read-only, like Graph: every call on this
+// cluster or a WithPlatforms child returns the same graph while any caller
+// still holds it. It is held weakly, so a cluster nobody is scheduling pins
+// no memory for it; after a GC has collected it the next call builds it
+// again, op for op the same.
 func (c *Cluster) ReferenceWorker() *graph.Graph {
+	c.ref.mu.Lock()
+	defer c.ref.mu.Unlock()
+	if g := c.ref.g.Value(); g != nil {
+		return g
+	}
+	g := c.buildReferenceWorker()
+	c.ref.g = weak.Make(g)
+	return g
+}
+
+// buildReferenceWorker copies the reference partition out of the full
+// graph.
+func (c *Cluster) buildReferenceWorker() *graph.Graph {
 	prefix := c.refPrefix()
 	device := WorkerDevice(0)
 	out := graph.New()
@@ -564,10 +601,11 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 // min of 5 runs).
 func (c *Cluster) OracleFromTrace(tracer *timing.Tracer, kind timing.EstimateKind) timing.Oracle {
 	// Trace names carry the worker prefix; rekey to reference names.
+	prefix := c.refPrefix()
 	est := tracer.Estimator(kind, c.oracle())
 	return timing.OracleFunc(func(op *graph.Op) float64 {
 		probe := *op
-		probe.Name = "w0/" + op.Name
+		probe.Name = prefix + op.Name
 		return est.Time(&probe)
 	})
 }

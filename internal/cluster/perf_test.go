@@ -580,3 +580,43 @@ func BenchmarkClusterChurn(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkComputeSchedule measures the schedule-cache miss below the
+// service: ComputeSchedule plus the jitter-0 RunIteration that predicts the
+// makespan, which is what the daemon's schedule build runs on an already
+// cached cluster. The cluster is warm (simulator view and cost table
+// built); nothing holds the reference worker between ops, so it is
+// rebuilt only after a GC has collected it, as in the daemon.
+func BenchmarkComputeSchedule(b *testing.B) {
+	for _, name := range []string{"AlexNet v2", "ResNet-101 v2"} {
+		spec, ok := model.ByName(name)
+		if !ok {
+			b.Fatalf("model %q missing from catalog", name)
+		}
+		c, err := Build(Config{Model: spec, Mode: model.Training, Workers: 2, PS: 1, Platform: timing.EnvG()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		op := func(policy string) error {
+			s, err := c.ComputeSchedule(policy, 0, 1)
+			if err != nil {
+				return err
+			}
+			_, err = c.RunIteration(RunOptions{Schedule: s, Seed: 1, Jitter: 0})
+			return err
+		}
+		for _, policy := range []string{"tic", "fifo"} {
+			if err := op(policy); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/"+policy, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := op(policy); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -5,6 +5,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 )
 
@@ -95,4 +96,17 @@ func errorBody(err error) (int, ErrorBody) {
 func writeError(w http.ResponseWriter, err error) {
 	status, body := errorBody(err)
 	writeJSON(w, status, ErrorResponse{Error: body})
+}
+
+// checkFinite rejects a result whose numbers overflowed. Finite but extreme
+// inputs (a straggler factor near the float64 maximum, a subnormal channel
+// bandwidth) can push simulated times to ±Inf or NaN, which JSON cannot
+// carry; the request asked for them, so it is a 400 bad_request.
+func checkFinite(vs ...float64) error {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return badRequest("inputs overflow the simulation: a reported time or rate is %v", v)
+		}
+	}
+	return nil
 }

@@ -75,12 +75,21 @@ func (s *Service) instrument(name, method string, fn func(w http.ResponseWriter,
 	}
 }
 
+// writeJSON encodes v before anything is sent, so a value the encoder
+// refuses becomes the structured 500 instead of a status line with an
+// empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(ErrorResponse{Error: ErrorBody{Code: CodeInternal, Message: "encoding response: " + err.Error()}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers are out; nothing useful to do on a write error
+	_, _ = w.Write(buf.Bytes()) // headers are out; nothing useful to do on a write error
 }
 
 // readBody reads the whole request body (the fleet forwarding path needs
@@ -225,6 +234,12 @@ func computeSimulateResult(ce *clusterEntry, e *scheduleEntry, r resolved) (Simu
 	})
 	if err != nil {
 		return SimulateResult{}, fmt.Errorf("simulate: %w", err)
+	}
+	// The mean makespan sums every iteration's, so it is not finite when
+	// any makespan is not.
+	if err := checkFinite(out.MeanMakespan, out.MeanThroughput, out.RecoverySeconds,
+		out.MaxStragglerPct, out.MeanEfficiency, out.MinEfficiency); err != nil {
+		return SimulateResult{}, err
 	}
 	result := SimulateResult{
 		Model:                e.result.Model,

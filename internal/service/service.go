@@ -351,6 +351,9 @@ func computeScheduleResult(ce *clusterEntry, r resolved) (*scheduleEntry, error)
 	if err != nil {
 		return nil, err
 	}
+	if err := checkFinite(it.Makespan); err != nil {
+		return nil, err
+	}
 	result := ScheduleResult{
 		Model:             ce.c.Config.Model.Name,
 		Mode:              r.mode,

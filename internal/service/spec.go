@@ -274,13 +274,13 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 	if spec.ReorderProb < 0 || spec.ReorderProb > 1 {
 		return r, badRequest("reorder_prob must be in [0, 1]")
 	}
-	r.reorderProb = spec.ReorderProb
+	r.reorderProb = posZero(spec.ReorderProb)
 	r.jitter = -1 // platform default
 	if spec.Jitter != nil {
 		if *spec.Jitter < 0 || *spec.Jitter > 1 {
 			return r, badRequest("jitter must be in [0, 1]")
 		}
-		r.jitter = *spec.Jitter
+		r.jitter = posZero(*spec.Jitter)
 	}
 	for i, st := range spec.Stragglers {
 		if st.Worker < 0 || st.Worker >= workers {
@@ -303,8 +303,8 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 			Worker:         me.Worker,
 			PS:             me.PS,
 			Iteration:      me.Iteration,
-			FailPoint:      me.FailPoint,
-			DegradedFactor: me.DegradedFactor,
+			FailPoint:      posZero(me.FailPoint),
+			DegradedFactor: posZero(me.DegradedFactor),
 		})
 	}
 	if len(r.events) > 0 {
@@ -357,17 +357,18 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 			if cc.Bandwidth < 0 || cc.Latency < 0 {
 				return r, badRequest("channel override %q: bandwidth and latency must be >= 0", res)
 			}
-			platforms.SetChannel(res, timing.ChannelCost{Bandwidth: cc.Bandwidth, Latency: cc.Latency})
+			platforms.SetChannel(res, timing.ChannelCost{Bandwidth: posZero(cc.Bandwidth), Latency: posZero(cc.Latency)})
 		}
 		platformDigest = core.PlatformMapDigest(platforms)
 	}
 
+	batchFactor := posZero(spec.BatchFactor)
 	r.cfg = cluster.Config{
 		Model:       ms,
 		Mode:        mode,
 		Workers:     workers,
 		PS:          ps,
-		BatchFactor: spec.BatchFactor,
+		BatchFactor: batchFactor,
 		Platform:    platform,
 		Platforms:   platforms,
 		Iterations:  spec.Iterations,
@@ -388,13 +389,23 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 		mode:             r.mode,
 		workers:          workers,
 		ps:               ps,
-		batchFactor:      spec.BatchFactor,
+		batchFactor:      batchFactor,
 		iterations:       spec.Iterations,
 		sharedPSNIC:      spec.SharedPSNIC,
 		platformDigest:   platformDigest,
 		membershipDigest: r.membershipDigest,
 	}
 	return r, nil
+}
+
+// posZero maps -0 to +0. JSON's "-0" decodes to negative zero, which
+// computes like zero but prints and digests differently; left alone it
+// would split one semantic request across cache slots and fleet owners.
+func posZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }
 
 // fleetKey is the consistent-hash routing key: the clusterKey composite —
