@@ -155,8 +155,9 @@ func (c Config) knownChannel(res string) bool {
 // index (shared with WithPlatforms children) and this Cluster's own cost
 // table. The reference worker partition is likewise one read-only graph per
 // cluster graph, shared with WithPlatforms children and held weakly, so it
-// is built once while anyone uses it and pins no memory after.
-// ChainRecvsByOrder clones before mutating.
+// is built once while anyone uses it and pins no memory after; so is the
+// schedule of each sched.PartitionOnly policy. ChainRecvsByOrder clones
+// before mutating.
 type Cluster struct {
 	Config Config
 	// Graph is the full multi-device DAG executed each iteration.
@@ -463,13 +464,17 @@ func (c *Cluster) refPrefix() string {
 	return "w0/"
 }
 
-// refHolder is one cluster graph's reference worker partition, held
-// weakly: while any caller still uses the graph, every ReferenceWorker call
-// returns it; once a GC has collected it, the next call rebuilds it.
+// refHolder is one cluster graph's reference worker partition and the
+// schedules of its sched.PartitionOnly policies, all held weakly: while any
+// caller still uses one, every call returns it; once a GC has collected
+// it, the next call builds it again.
 type refHolder struct {
 	mu sync.Mutex
 	//tictac:guardedby mu
 	g weak.Pointer[graph.Graph]
+	// orders maps a policy name to its schedule of the reference worker.
+	//tictac:guardedby mu
+	orders map[string]weak.Pointer[core.Schedule]
 }
 
 // ReferenceWorker returns the partition of worker 0 (first iteration) with
@@ -547,6 +552,12 @@ func (c *Cluster) buildReferenceWorker() *graph.Graph {
 // iterations follow the same order"). seed feeds both the warmup trace and
 // any stochastic policy (random).
 //
+// A policy that implements sched.PartitionOnly orders once per cluster
+// graph: every call on this cluster or a WithPlatforms child, for any
+// seed and warmup, returns the same schedule while any caller still holds
+// it (held weakly, like ReferenceWorker). Such a schedule is shared and
+// read-only: callers must not modify its Rank or Order.
+//
 // On a heterogeneous cluster the oracle path sees the full PlatformMap
 // (warmup traces run on the hetero graph, so a slow worker's measured op
 // times flow into the estimated oracle), while analytic policies order
@@ -570,7 +581,39 @@ func (c *Cluster) ComputeSchedule(policy string, warmupIters int, seed int64) (*
 	if c.Config.Platforms != nil {
 		plat = c.Config.Platforms.For(WorkerDevice(0))
 	}
+	if _, ok := p.(sched.PartitionOnly); ok {
+		return c.partitionOrder(p, &plat)
+	}
 	return p.Order(c.ReferenceWorker(), &plat)
+}
+
+// partitionOrder returns the held schedule of a sched.PartitionOnly policy
+// on this cluster graph, ordering the reference worker when none is held.
+// It orders outside the lock, because Order calls ReferenceWorker, which
+// takes it, and publishes only into an empty slot, so concurrent first
+// calls all return the first schedule published.
+func (c *Cluster) partitionOrder(p sched.Policy, plat *timing.Platform) (*core.Schedule, error) {
+	name := p.Name()
+	c.ref.mu.Lock()
+	s := c.ref.orders[name].Value()
+	c.ref.mu.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	s, err := p.Order(c.ReferenceWorker(), plat)
+	if err != nil {
+		return nil, err
+	}
+	c.ref.mu.Lock()
+	defer c.ref.mu.Unlock()
+	if held := c.ref.orders[name].Value(); held != nil {
+		return held, nil
+	}
+	if c.ref.orders == nil {
+		c.ref.orders = make(map[string]weak.Pointer[core.Schedule])
+	}
+	c.ref.orders[name] = weak.Make(s)
+	return s, nil
 }
 
 // TraceRuns runs warmup baseline iterations with the tracing module

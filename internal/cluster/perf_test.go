@@ -581,12 +581,17 @@ func BenchmarkClusterChurn(b *testing.B) {
 	}
 }
 
+// heldSchedule keeps BenchmarkComputeSchedule's last schedule alive.
+var heldSchedule *core.Schedule
+
 // BenchmarkComputeSchedule measures the schedule-cache miss below the
 // service: ComputeSchedule plus the jitter-0 RunIteration that predicts the
 // makespan, which is what the daemon's schedule build runs on an already
 // cached cluster. The cluster is warm (simulator view and cost table
-// built); nothing holds the reference worker between ops, so it is
-// rebuilt only after a GC has collected it, as in the daemon.
+// built), the seed cycles over 12 values as the schedule-zipf workload's
+// shapes do, and each op's schedule stays alive until the next op
+// replaces it, as a schedule-cache entry keeps its schedule. The random
+// row is the control: its order is seeded, so it is computed on every op.
 func BenchmarkComputeSchedule(b *testing.B) {
 	for _, name := range []string{"AlexNet v2", "ResNet-101 v2"} {
 		spec, ok := model.ByName(name)
@@ -597,22 +602,23 @@ func BenchmarkComputeSchedule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		op := func(policy string) error {
-			s, err := c.ComputeSchedule(policy, 0, 1)
+		op := func(policy string, seed int64) error {
+			s, err := c.ComputeSchedule(policy, 0, seed)
 			if err != nil {
 				return err
 			}
-			_, err = c.RunIteration(RunOptions{Schedule: s, Seed: 1, Jitter: 0})
+			heldSchedule = s
+			_, err = c.RunIteration(RunOptions{Schedule: s, Seed: seed, Jitter: 0})
 			return err
 		}
-		for _, policy := range []string{"tic", "fifo"} {
-			if err := op(policy); err != nil {
+		for _, policy := range []string{"tic", "fifo", "random"} {
+			if err := op(policy, 1); err != nil {
 				b.Fatal(err)
 			}
 			b.Run(name+"/"+policy, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := op(policy); err != nil {
+					if err := op(policy, int64(1+i%12)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -77,6 +77,8 @@ func TestReferenceWorkerShared(t *testing.T) {
 // TestComputeScheduleReusesReferenceWorker requires a schedule-cache miss
 // on a cluster whose reference worker is alive to cost the ordering only,
 // not a copy of the partition: far fewer allocations than it has ops.
+// random orders on every call (its order is seeded), so each call reads
+// the reference worker.
 func TestComputeScheduleReusesReferenceWorker(t *testing.T) {
 	c, err := Build(smallConfig(2, 1, model.Training))
 	if err != nil {
@@ -84,12 +86,12 @@ func TestComputeScheduleReusesReferenceWorker(t *testing.T) {
 	}
 	ref := c.ReferenceWorker()
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := c.ComputeSchedule("fifo", 0, 1); err != nil {
+		if _, err := c.ComputeSchedule("random", 0, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if limit := float64(ref.Len()) / 4; allocs > limit {
-		t.Fatalf("ComputeSchedule(fifo) allocates %.0f times for a %d-op reference worker; want <= %.0f",
+		t.Fatalf("ComputeSchedule(random) allocates %.0f times for a %d-op reference worker; want <= %.0f",
 			allocs, ref.Len(), limit)
 	}
 	runtime.KeepAlive(ref)

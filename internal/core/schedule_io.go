@@ -27,11 +27,17 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 
 // ReadSchedule deserializes a schedule previously written by WriteJSON and
 // validates its internal consistency (Order must be a permutation of Rank's
-// keys).
+// keys). The input must hold exactly one JSON object: anything but
+// whitespace after it is rejected, so a corrupt or concatenated file never
+// loads as its first schedule.
 func ReadSchedule(r io.Reader) (*Schedule, error) {
 	var sj scheduleJSON
-	if err := json.NewDecoder(r).Decode(&sj); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&sj); err != nil {
 		return nil, fmt.Errorf("core: decode schedule: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: trailing data after schedule")
 	}
 	if len(sj.Order) != len(sj.Rank) {
 		return nil, fmt.Errorf("core: schedule order has %d keys, rank has %d", len(sj.Order), len(sj.Rank))

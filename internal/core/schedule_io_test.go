@@ -50,6 +50,10 @@ func TestReadScheduleRejectsCorruption(t *testing.T) {
 		`{"algorithm":"tic","rank":{"a":0},"order":["a","b"]}`,       // order/rank size mismatch
 		`{"algorithm":"tic","rank":{"a":0,"b":1},"order":["a","a"]}`, // duplicate
 		`{"algorithm":"tic","rank":{"a":0,"c":1},"order":["a","b"]}`, // unknown key
+		`{"algorithm":"tic","rank":{"a":0},"order":["a"]} junk`,      // trailing junk
+		`{"algorithm":"tic","rank":{"a":0},"order":["a"]}` +
+			`{"algorithm":"fifo","rank":{"b":0},"order":["b"]}`, // two schedules
+		`{"algorithm":"tic","rank":{"a":0},"order":["a"]} ]`, // stray closer
 	}
 	for _, c := range cases {
 		if _, err := ReadSchedule(strings.NewReader(c)); err == nil {
@@ -65,5 +69,18 @@ func TestReadScheduleEmpty(t *testing.T) {
 	}
 	if len(s.Order) != 0 || s.Rank == nil {
 		t.Fatalf("empty schedule = %+v", s)
+	}
+}
+
+// TestReadScheduleAcceptsWhitespaceAndUnknownFields keeps what
+// docs/schedule-format.md promises readers: trailing whitespace (every
+// WriteJSON output ends in a newline) and unknown top-level fields load.
+func TestReadScheduleAcceptsWhitespaceAndUnknownFields(t *testing.T) {
+	s, err := ReadSchedule(strings.NewReader(`{"algorithm":"tic","rank":{"a":0},"order":["a"],"version":2}` + " \n\t\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Order) != 1 || s.Order[0] != "a" || s.Rank["a"] != 0 {
+		t.Fatalf("schedule = %+v", s)
 	}
 }

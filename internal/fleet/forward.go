@@ -20,6 +20,12 @@ const ForwardedHeader = "X-Tictac-Forwarded"
 // ErrNoTargets reports a forward with an empty target chain.
 var ErrNoTargets = errors.New("fleet: no forward targets")
 
+// ErrTooLarge reports an upstream answer longer than the forwarder relays.
+// The upstream did answer, so this is not a transport failure: the
+// forward neither tries the next target nor counts against the peer's
+// health, and the caller should serve the request itself.
+var ErrTooLarge = errors.New("fleet: forwarded answer exceeds the relay cap")
+
 // ForwardResult is the upstream response a forward relays verbatim.
 type ForwardResult struct {
 	// Status and ContentType mirror the upstream response; Body is the
@@ -60,10 +66,12 @@ func NewForwarder(node *Node, client *http.Client, hedgeTimeout time.Duration) *
 // Forward relays (method, path, body) along the target chain and returns
 // the first response. Any HTTP response — including an error status — is a
 // success here and is relayed verbatim: the upstream answered, and its
-// answer is the deterministic one. Only transport failures advance the
-// chain; a transport failure also feeds the owner's health state machine,
-// so a dead peer is detected at forward speed rather than probe speed.
-// Forward returns an error only when every target fails at the transport
+// answer is the deterministic one. The one exception is an answer over the
+// relay cap (8 MiB), which is never relayed truncated: Forward returns
+// ErrTooLarge at once. Only transport failures advance the chain; a
+// transport failure also feeds the owner's health state machine, so a
+// dead peer is detected at forward speed rather than probe speed. Forward
+// otherwise returns an error only when every target fails at the transport
 // level (the caller's cue to answer 503 fleet_unavailable).
 func (f *Forwarder) Forward(ctx context.Context, method, path string, body []byte, contentType string, targets []Member) (*ForwardResult, error) {
 	if len(targets) == 0 {
@@ -100,6 +108,9 @@ func (f *Forwarder) Forward(ctx context.Context, method, path string, body []byt
 				a.res.Via = targets[a.idx].ID
 				a.res.Hedged = hedged
 				return a.res, nil
+			}
+			if errors.Is(a.err, ErrTooLarge) {
+				return nil, a.err
 			}
 			if !errors.Is(a.err, context.Canceled) {
 				f.node.ReportForwardFailure(targets[a.idx].ID)
@@ -144,9 +155,13 @@ func (f *Forwarder) send(ctx context.Context, method, path string, body []byte, 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, f.maxBody))
+	// Read one byte past the cap to tell a full answer from a cut one.
+	b, err := io.ReadAll(io.LimitReader(resp.Body, f.maxBody+1))
 	if err != nil {
 		return nil, err
+	}
+	if int64(len(b)) > f.maxBody {
+		return nil, ErrTooLarge
 	}
 	return &ForwardResult{
 		Status:      resp.StatusCode,

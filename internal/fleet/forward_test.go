@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -168,6 +169,38 @@ func TestForwardRelaysErrorStatusVerbatim(t *testing.T) {
 	}
 	if string(res.Body) != `{"error":{"code":"bad_request"}}` {
 		t.Fatalf("body %q not relayed verbatim", res.Body)
+	}
+}
+
+// TestForwardTooLargeIsNotAFailure requires an answer one byte over the
+// relay cap to come back as ErrTooLarge rather than a cut body, without
+// trying the next target or counting against the owner's health, and an
+// answer exactly at the cap to relay whole.
+func TestForwardTooLargeIsNotAFailure(t *testing.T) {
+	owner := newEchoPeer(t, "a")
+	replica := newEchoPeer(t, "b")
+	f, n := forwarderForTest(t, time.Second, owner, replica)
+	body := []byte("0123456789")
+	f.maxBody = int64(len("a|") + len(body))
+
+	res, err := f.Forward(context.Background(), http.MethodPost, "/x", body, "", []Member{owner.member(), replica.member()})
+	if err != nil || string(res.Body) != "a|"+string(body) {
+		t.Fatalf("answer at the cap: %+v, %v", res, err)
+	}
+	for i := 0; i < 3; i++ {
+		_, err := f.Forward(context.Background(), http.MethodPost, "/x", append(body, 'x'), "", []Member{owner.member(), replica.member()})
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("answer over the cap: err = %v, want ErrTooLarge", err)
+		}
+	}
+	if hits := replica.hits.Load(); hits != 0 {
+		t.Fatalf("an answer over the cap advanced the chain: replica served %d", hits)
+	}
+	if got := findMember(t, n.View(), "a").ForwardFailures; got != 0 {
+		t.Fatalf("owner forward-failure counter = %d, want 0", got)
+	}
+	if got := peerStatus(t, n, "a"); got != Alive {
+		t.Fatalf("owner status %v after answers over the cap, want alive", got)
 	}
 }
 

@@ -30,6 +30,9 @@ type ticPolicy struct{}
 // Name implements Policy.
 func (ticPolicy) Name() string { return TIC }
 
+// PartitionOnly implements PartitionOnly.
+func (ticPolicy) PartitionOnly() {}
+
 // Order implements Policy by delegating to core.TIC.
 func (ticPolicy) Order(g *graph.Graph, _ *timing.Platform) (*core.Schedule, error) {
 	return core.TIC(g)
@@ -84,6 +87,9 @@ type fifoPolicy struct{}
 // Name implements Policy.
 func (fifoPolicy) Name() string { return FIFO }
 
+// PartitionOnly implements PartitionOnly.
+func (fifoPolicy) PartitionOnly() {}
+
 // Order implements Policy.
 func (fifoPolicy) Order(g *graph.Graph, _ *timing.Platform) (*core.Schedule, error) {
 	return fromOrderedRecvs(FIFO, recvsInGraphOrder(g))
@@ -96,6 +102,9 @@ type revTopoPolicy struct{}
 
 // Name implements Policy.
 func (revTopoPolicy) Name() string { return RevTopo }
+
+// PartitionOnly implements PartitionOnly.
+func (revTopoPolicy) PartitionOnly() {}
 
 // Order implements Policy.
 func (revTopoPolicy) Order(g *graph.Graph, _ *timing.Platform) (*core.Schedule, error) {
@@ -121,6 +130,9 @@ type smallestFirstPolicy struct{}
 // Name implements Policy.
 func (smallestFirstPolicy) Name() string { return SmallestFirst }
 
+// PartitionOnly implements PartitionOnly.
+func (smallestFirstPolicy) PartitionOnly() {}
+
 // Order implements Policy.
 func (smallestFirstPolicy) Order(g *graph.Graph, _ *timing.Platform) (*core.Schedule, error) {
 	recvs := append([]*graph.Op(nil), recvsInGraphOrder(g)...)
@@ -137,6 +149,9 @@ type criticalPathPolicy struct{}
 
 // Name implements Policy.
 func (criticalPathPolicy) Name() string { return CriticalPath }
+
+// PartitionOnly implements PartitionOnly.
+func (criticalPathPolicy) PartitionOnly() {}
 
 // Order implements Policy.
 func (criticalPathPolicy) Order(g *graph.Graph, _ *timing.Platform) (*core.Schedule, error) {

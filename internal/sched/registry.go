@@ -21,7 +21,10 @@ const (
 )
 
 // Factory constructs a policy instance. seed parameterizes stochastic
-// policies (random); deterministic policies ignore it.
+// policies (random) and tac's traced warmup; every other built-in ignores
+// it. A policy whose factory ignores the seed and whose Order ignores the
+// platform should implement PartitionOnly, so that cluster schedules of
+// its order are computed once per graph rather than once per seed.
 type Factory func(seed int64) Policy
 
 var (

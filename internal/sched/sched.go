@@ -31,6 +31,16 @@
 // Every policy is deterministic for a fixed seed: two calls with the same
 // graph and seed produce byte-identical schedules, which the parallel bench
 // engine relies on.
+//
+// Most policies go further: their order is a pure function of the
+// partition, like the paper's TIC (§4.2), which it computes once, offline
+// (§5). They declare it by implementing PartitionOnly, and
+// cluster.ComputeSchedule then shares one order per cluster graph across
+// every seed and platform instead of ordering on every call. tic, fifo,
+// revtopo, smallest-first and critical-path declare it. tac does not,
+// because the seed drives the traced warmup its oracle is estimated from,
+// and neither does random, whose order is a shuffle seeded by the
+// factory.
 package sched
 
 import (
@@ -61,6 +71,18 @@ type Policy interface {
 type OracleOrderer interface {
 	// OrderWithOracle computes the schedule under the given time oracle.
 	OrderWithOracle(g *graph.Graph, oracle timing.Oracle) (*core.Schedule, error)
+}
+
+// PartitionOnly is implemented by policies whose schedule is a pure
+// function of the worker partition: their factory ignores the seed and
+// their Order ignores the platform, so every seed and every platform over
+// one partition yields the same schedule. cluster.ComputeSchedule relies
+// on it to share one read-only schedule per cluster graph. A policy whose
+// order reads the seed or the platform must not implement it.
+type PartitionOnly interface {
+	Policy
+	// PartitionOnly declares the contract; it does nothing.
+	PartitionOnly()
 }
 
 // recvsInGraphOrder returns the partition's recv ops in graph insertion

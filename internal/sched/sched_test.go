@@ -209,3 +209,49 @@ func TestTACNeedsPlatform(t *testing.T) {
 		t.Fatal("tac without a platform should fail")
 	}
 }
+
+// TestPartitionOnlyContract checks what a sched.PartitionOnly declaration
+// promises cluster.ComputeSchedule, which orders each graph once for every
+// seed and platform: every declaring policy yields one schedule digest for
+// seeds 0, 1 and 99 and platforms EnvG and EnvC on three Table 1 models.
+// It also pins which built-ins declare it: tac and random must not, since
+// the seed drives tac's traced warmup and random's shuffle.
+func TestPartitionOnlyContract(t *testing.T) {
+	var declared []string
+	for _, name := range Names() {
+		if _, ok := MustNew(name, 0).(PartitionOnly); ok {
+			declared = append(declared, name)
+		}
+	}
+	if want := []string{TIC, FIFO, RevTopo, SmallestFirst, CriticalPath}; !reflect.DeepEqual(declared, want) {
+		t.Fatalf("policies declaring PartitionOnly = %v, want %v", declared, want)
+	}
+	for _, modelName := range []string{"AlexNet v2", "Inception v3", "ResNet-101 v2"} {
+		spec, ok := model.ByName(modelName)
+		if !ok {
+			t.Fatalf("%s missing from catalog", modelName)
+		}
+		g, err := model.BuildWorker(spec, model.Training, spec.Batch, "worker:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range declared {
+			want := ""
+			for _, seed := range []int64{0, 1, 99} {
+				for _, plat := range []timing.Platform{timing.EnvG(), timing.EnvC()} {
+					s, err := MustNew(name, seed).Order(g, &plat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := core.ScheduleDigest(s)
+					if want == "" {
+						want = d
+					}
+					if d != want {
+						t.Fatalf("%s on %s: seed %d on %s changes the schedule", name, modelName, seed, plat.Name)
+					}
+				}
+			}
+		}
+	}
+}

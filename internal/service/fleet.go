@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -37,7 +38,8 @@ func (s *Service) Draining() bool { return s.draining.Load() }
 // was already forwarded once (fleet.ForwardedHeader — guarantees loop
 // freedom, and makes a membership disagreement cost one extra hop instead
 // of an error, since the determinism contract lets any node compute any
-// answer); this node is draining; this node owns the key; or every remote
+// answer); this node is draining; this node owns the key; the answer that
+// came back is too long to relay (fleet.ErrTooLarge); or every remote
 // target in the key's replica chain failed but this node is itself in the
 // chain. Only when the whole remote chain fails and this node is NOT a
 // replica does the client see 503 fleet_unavailable.
@@ -68,8 +70,11 @@ func (s *Service) maybeForward(w http.ResponseWriter, r *http.Request, body []by
 	}
 	fres, ferr := s.forwarder.Forward(r.Context(), r.Method, r.URL.Path, body, r.Header.Get("Content-Type"), remote)
 	if ferr != nil {
-		if selfIsReplica {
-			return false, nil // we are the key's replica: serve it ourselves
+		// Serve it ourselves if we are the key's replica, or if the
+		// owner's answer was too long to relay: any node computes the same
+		// bytes.
+		if selfIsReplica || errors.Is(ferr, fleet.ErrTooLarge) {
+			return false, nil
 		}
 		return true, codeErr(http.StatusServiceUnavailable, CodeFleetUnavailable,
 			"owner and replica for this workload are unreachable: %v", ferr)

@@ -61,6 +61,12 @@ func (n *fleetTestNode) kill() {
 // via ProbeAll / ReportForwardFailure, except where they opt in.
 func startTestFleet(t testing.TB, n int) []*fleetTestNode {
 	t.Helper()
+	return startTestFleetTimeout(t, n, 5*time.Second)
+}
+
+// startTestFleetTimeout is startTestFleet with the given forward timeout.
+func startTestFleetTimeout(t testing.TB, n int, forwardTimeout time.Duration) []*fleetTestNode {
+	t.Helper()
 	nodes := make([]*fleetTestNode, n)
 	swaps := make([]*handlerSwap, n)
 	members := make([]fleet.Member, n)
@@ -85,7 +91,7 @@ func startTestFleet(t testing.TB, n int) []*fleetTestNode {
 		svc := New(Options{
 			Fleet:             node,
 			FleetHedgeTimeout: 200 * time.Millisecond,
-			FleetClient:       &http.Client{Timeout: 5 * time.Second},
+			FleetClient:       &http.Client{Timeout: forwardTimeout},
 		})
 		nodes[i].node = node
 		nodes[i].svc = svc
@@ -514,5 +520,45 @@ func TestFleetLoadKillMidLoad(t *testing.T) {
 	if baseline.ServerCacheHitRate > 0 && report.AggregateHitRate < 0.9*baseline.ServerCacheHitRate {
 		t.Fatalf("aggregate hit rate %.3f degraded more than 10%% vs single-node %.3f",
 			report.AggregateHitRate, baseline.ServerCacheHitRate)
+	}
+}
+
+// TestFleetForwardOverRelayCapServedLocally sends a batch whose answer
+// (about 31 MB) is over the forwarder's 8 MiB relay cap through a
+// non-owner. The client must get the owner's bytes whole rather than a cut
+// body, and the owner must stay alive: a long answer is not a failure.
+func TestFleetForwardOverRelayCapServedLocally(t *testing.T) {
+	// The owner takes seconds to answer under the race detector; a slow
+	// answer is not what this test is about.
+	nodes := startTestFleetTimeout(t, 2, time.Minute)
+	spec := specOwnedBy(t, nodes, 1, nil)
+	spec.MeasureIterations = 1000
+	req := BatchRequest{Workload: &spec, Variants: make([]BatchVariant, DefaultMaxBatch)}
+
+	resp, want := post(t, nodes[1].url+"/v1/batch", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("owner: status %d: %.200s", resp.StatusCode, want)
+	}
+	if len(want) <= 8<<20 {
+		t.Fatalf("owner's answer is %d bytes; the test needs one over the 8 MiB relay cap", len(want))
+	}
+	resp, got := post(t, nodes[0].url+"/v1/batch", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-owner: status %d: %.200s", resp.StatusCode, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("non-owner answered %d bytes, the owner %d; want the owner's bytes", len(got), len(want))
+	}
+
+	_, raw := get(t, nodes[0].url+"/v1/fleet")
+	var v fleet.View
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("decode /v1/fleet: %v", err)
+	}
+	for _, m := range v.Members {
+		if m.ID == nodes[1].id && (m.Status != fleet.Alive || m.ForwardFailures != 0) {
+			t.Fatalf("owner is %s with %d forward failures after an answer over the cap, want alive with 0",
+				m.Status, m.ForwardFailures)
+		}
 	}
 }

@@ -54,7 +54,8 @@ type WorkloadSpec struct {
 	// unscheduled baseline. Default "tic".
 	Policy string `json:"policy,omitempty"`
 	// Warmup is the traced-warmup iteration count for oracle policies
-	// (tac); 0 selects the library default.
+	// (tac); 0 selects the library default. Every other policy ignores
+	// it, and it does not enter their cache keys.
 	Warmup int `json:"warmup,omitempty"`
 	// Seed feeds every random choice derived from this request.
 	Seed int64 `json:"seed,omitempty"`
@@ -183,6 +184,8 @@ type resolved struct {
 	mode   string
 	env    string
 	policy string
+	// warmup is spec.Warmup for policies that read it (sched.OracleOrderer)
+	// and 0 for every other policy.
 	warmup int
 	seed   int64
 
@@ -230,10 +233,16 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 	if r.policy == "" {
 		r.policy = sched.TIC
 	}
+	// Only oracle policies (tac) read warmup; zeroing it for every other
+	// policy keeps requests that differ only in an ignored warmup in one
+	// cache slot and one batch computation.
+	readsWarmup := false
 	if r.policy != sched.None {
-		if _, err := sched.New(r.policy, 0); err != nil {
+		p, err := sched.New(r.policy, 0)
+		if err != nil {
 			return r, codeErr(http.StatusBadRequest, CodeUnknownPolicy, "%v", err)
 		}
+		_, readsWarmup = p.(sched.OracleOrderer)
 	}
 	workers, ps := spec.Workers, spec.PS
 	if workers == 0 {
@@ -382,7 +391,9 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 		}
 	}
 	r.spec = spec
-	r.warmup = spec.Warmup
+	if readsWarmup {
+		r.warmup = spec.Warmup
+	}
 	r.seed = spec.Seed
 	r.key = clusterKey{
 		model:            ms.Name,
