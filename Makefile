@@ -39,12 +39,13 @@ benchmark-test:
 # TCP PS runtime, the simulator, the cluster layer, the scheduling-policy
 # registry, the parallel bench engine (plus the bench experiments that fan
 # out across it), the sharded singleflight cache, the HTTP service built
-# on it and the fleet layer (probe loops, hedged forwarding, drain racing
-# writes) — the cost-model/stats value types those goroutines share, and
+# on it, the fleet layer (probe loops, hedged forwarding, drain racing
+# writes) and the load generator that kills a fleet node mid-load — the
+# cost-model/stats value types those goroutines share, and
 # the graph/trace/core layers whose artifacts are shared read-only across
 # concurrent runs.
 race:
-	$(GO) test -race ./internal/psrt/ ./internal/sim/ ./internal/cluster/ ./internal/sched/ ./internal/timing/ ./internal/stats/ ./internal/cache/ ./internal/service/ ./internal/fleet/ ./internal/bench/... ./internal/trace/ ./internal/core/ ./internal/graph/ ./internal/collective/
+	$(GO) test -race ./internal/psrt/ ./internal/sim/ ./internal/cluster/ ./internal/sched/ ./internal/timing/ ./internal/stats/ ./internal/cache/ ./internal/service/ ./internal/fleet/ ./internal/loadgen/ ./internal/bench/... ./internal/trace/ ./internal/core/ ./internal/graph/ ./internal/collective/
 
 # Benchmark smoke: compile and run every benchmark once, no measurements.
 bench:

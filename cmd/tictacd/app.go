@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,24 +37,6 @@ type app struct {
 	probeInterval time.Duration
 	hedgeTimeout  time.Duration
 	drainTimeout  time.Duration
-
-	loadtest     bool
-	target       string
-	requests     int
-	concurrency  int
-	seed         int64
-	models       string
-	policies     string
-	batches      int
-	churnProbes  int
-	checkErrors  bool
-	reportPath   string
-	fleetTargets string
-
-	tracePath      string
-	traceTimescale float64
-	traceSizes     string
-	tracePolicies  string
 }
 
 func parseFlags(args []string, stderr io.Writer) (*app, error) {
@@ -78,22 +59,6 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 	fs.DurationVar(&a.probeInterval, "probe-interval", time.Second, "fleet: peer health-probe interval")
 	fs.DurationVar(&a.hedgeTimeout, "hedge-timeout", 250*time.Millisecond, "fleet: hedge a forwarded request to the next replica after this long without a response")
 	fs.DurationVar(&a.drainTimeout, "drain-timeout", 30*time.Second, "fleet: max time to stream hot cache entries to successors on SIGTERM before exiting anyway")
-	fs.BoolVar(&a.loadtest, "loadtest", false, "run the deterministic load generator instead of serving")
-	fs.StringVar(&a.target, "target", "", "loadtest: base URL of a running tictacd (empty = spin up an in-process server)")
-	fs.IntVar(&a.requests, "requests", 200, "loadtest: total schedule requests")
-	fs.IntVar(&a.concurrency, "concurrency", 16, "loadtest: concurrent client workers")
-	fs.Int64Var(&a.seed, "seed", 1, "loadtest: workload seed")
-	fs.StringVar(&a.models, "models", "", "loadtest: comma-separated Table 1 model names (empty = default trio)")
-	fs.StringVar(&a.policies, "policies", "", "loadtest: comma-separated policy names (empty = tic,critical-path)")
-	fs.IntVar(&a.batches, "batches", 0, "loadtest: /v1/batch requests mixed into the load (0 = default 4, negative = none)")
-	fs.IntVar(&a.churnProbes, "churn-probes", 0, "loadtest: membership-churn probes asserting no stale schedule survives a fleet change (0 = default 2, negative = none)")
-	fs.BoolVar(&a.checkErrors, "check-errors", true, "loadtest: run the error-injection probes asserting structured codes")
-	fs.StringVar(&a.reportPath, "report", "", "loadtest: also write the JSON report to this file")
-	fs.StringVar(&a.fleetTargets, "fleet-targets", "", "loadtest: comma-separated base URLs of a running fleet — hammer through every node, byte-verify against direct computation, assert aggregate hit rate (overrides -target)")
-	fs.StringVar(&a.tracePath, "trace", "", "loadtest: replay this workload trace file instead of the synthetic mix (see docs/cache-policies.md)")
-	fs.Float64Var(&a.traceTimescale, "trace-timescale", 0, "trace replay: wall-clock seconds per trace second (0 = as fast as possible)")
-	fs.StringVar(&a.traceSizes, "trace-sizes", "", "trace replay: comma-separated schedule-cache capacities to sweep (empty = 4,16,64)")
-	fs.StringVar(&a.tracePolicies, "trace-policies", "", "trace replay: comma-separated eviction policies to sweep (empty = all registered)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -101,13 +66,7 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 		fmt.Fprintf(stderr, "tictacd: %v\n", err)
 		return nil, err
 	}
-	for _, p := range splitList(a.tracePolicies) {
-		if _, err := cache.NewPolicy(p); err != nil {
-			fmt.Fprintf(stderr, "tictacd: %v\n", err)
-			return nil, err
-		}
-	}
-	if a.fleetMode && !a.loadtest {
+	if a.fleetMode {
 		if _, err := a.fleetNode(); err != nil {
 			fmt.Fprintf(stderr, "tictacd: %v\n", err)
 			return nil, err
@@ -161,19 +120,6 @@ func (a *app) options() service.Options {
 	}
 }
 
-// splitInts parses a comma-separated list of positive integers.
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		var n int
-		if _, err := fmt.Sscanf(part, "%d", &n); err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad size %q (want positive integers)", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func splitList(s string) []string {
 	if s == "" {
 		return nil
@@ -195,9 +141,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
-	}
-	if a.loadtest {
-		return a.runLoadtest(stdout, stderr)
 	}
 	return a.runDaemon(stdout, stderr)
 }
@@ -280,116 +223,4 @@ func (a *app) runDaemon(stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-}
-
-// runLoadtest drives the deterministic load generator — against -target if
-// given, otherwise against an ephemeral in-process server — prints the JSON
-// report and fails (exit 1) if the service contract was violated.
-func (a *app) runLoadtest(stdout, stderr io.Writer) int {
-	if a.tracePath != "" {
-		return a.runReplay(stdout, stderr)
-	}
-	target := a.target
-	fleetTargets := splitList(a.fleetTargets)
-	if len(fleetTargets) > 0 {
-		target = ""
-		fmt.Fprintf(stderr, "tictacd: loadtest through %d fleet nodes\n", len(fleetTargets))
-	} else if target == "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(stderr, "tictacd: listen: %v\n", err)
-			return 1
-		}
-		srv := a.httpServer(service.New(a.options()).Handler())
-		go srv.Serve(ln)
-		defer srv.Close()
-		target = "http://" + ln.Addr().String()
-		fmt.Fprintf(stderr, "tictacd: loadtest against in-process server %s\n", target)
-	}
-
-	report, runErr := service.RunLoad(service.LoadOptions{
-		Target:       target,
-		FleetTargets: fleetTargets,
-		Requests:     a.requests,
-		Concurrency:  a.concurrency,
-		Seed:         a.seed,
-		Models:       splitList(a.models),
-		Policies:     splitList(a.policies),
-		Batches:      a.batches,
-		ChurnProbes:  a.churnProbes,
-		CheckErrors:  a.checkErrors,
-		BatchLimit:   a.maxBatch,
-	})
-	// RunLoad may return a partial report alongside its error (e.g. the
-	// run completed but the /metrics read failed). Emit whatever exists
-	// before deciding the verdict — failing runs are exactly the ones
-	// whose report matters.
-	if report != nil {
-		payload, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "tictacd: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%s\n", payload)
-		if a.reportPath != "" {
-			if err := os.WriteFile(a.reportPath, append(payload, '\n'), 0o644); err != nil {
-				fmt.Fprintf(stderr, "tictacd: write report: %v\n", err)
-				return 1
-			}
-		}
-	}
-	if runErr != nil {
-		fmt.Fprintf(stderr, "tictacd: loadtest: %v\n", runErr)
-		return 1
-	}
-	if err := report.Err(); err != nil {
-		fmt.Fprintf(stderr, "tictacd: FAIL: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "tictacd: PASS: %d requests, %d distinct configs, hit rate %.3f, p99 %.1fms\n",
-		report.Requests, report.DistinctConfigs, report.ServerCacheHitRate, report.Latency.P99*1000)
-	return 0
-}
-
-// runReplay replays a workload trace through the service (the eviction-
-// policy shootout grid when no -target is given), prints the JSON report
-// and fails if any curve violated the service contract or the offline
-// oracle failed to dominate.
-func (a *app) runReplay(stdout, stderr io.Writer) int {
-	sizes, err := splitInts(a.traceSizes)
-	if err != nil {
-		fmt.Fprintf(stderr, "tictacd: -trace-sizes: %v\n", err)
-		return 2
-	}
-	report, runErr := service.RunReplay(service.ReplayOptions{
-		TracePath:   a.tracePath,
-		Target:      a.target,
-		Policies:    splitList(a.tracePolicies),
-		CacheSizes:  sizes,
-		Timescale:   a.traceTimescale,
-		Concurrency: a.concurrency,
-	})
-	if runErr != nil {
-		fmt.Fprintf(stderr, "tictacd: trace replay: %v\n", runErr)
-		return 1
-	}
-	payload, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "tictacd: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "%s\n", payload)
-	if a.reportPath != "" {
-		if err := os.WriteFile(a.reportPath, append(payload, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "tictacd: write report: %v\n", err)
-			return 1
-		}
-	}
-	if err := report.Err(); err != nil {
-		fmt.Fprintf(stderr, "tictacd: FAIL: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "tictacd: PASS: trace %q, %d events over %d keys, %d live curves, %d offline rows\n",
-		report.Trace, report.Events, report.DistinctKeys, len(report.Curves), len(report.Offline))
-	return 0
 }

@@ -2,60 +2,16 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"tictac/internal/fleet"
 	"tictac/internal/service"
-	"tictac/internal/trace"
 )
 
-func TestLoadtestInProcess(t *testing.T) {
-	report := filepath.Join(t.TempDir(), "report.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-loadtest",
-		"-requests", "20",
-		"-concurrency", "4",
-		"-models", "AlexNet v2",
-		"-policies", "tic",
-		"-report", report,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "PASS") {
-		t.Errorf("stderr missing PASS: %s", stderr.String())
-	}
-	payload, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r service.LoadReport
-	if err := json.Unmarshal(payload, &r); err != nil {
-		t.Fatalf("report not JSON: %v\n%s", err, payload)
-	}
-	if r.Requests != 20 || r.DistinctConfigs != 1 || r.Mismatches != 0 {
-		t.Errorf("report = %+v", r)
-	}
-	// stdout carries the same report for pipelines.
-	var viaStdout service.LoadReport
-	if err := json.Unmarshal(stdout.Bytes(), &viaStdout); err != nil {
-		t.Errorf("stdout not a JSON report: %v", err)
-	}
-}
-
-// TestServerTimeoutsDropSlowClient pins the hardened server config: a
-// client that sends its headers and then stalls mid-body is disconnected by
-// ReadTimeout instead of holding a serving goroutine for as long as it
-// pleases.
 func TestServerTimeoutsDropSlowClient(t *testing.T) {
 	a, err := parseFlags([]string{
 		"-read-timeout", "150ms",
@@ -131,7 +87,7 @@ func TestHelpExitsZero(t *testing.T) {
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-h exit code %d, want 0", code)
 	}
-	if !strings.Contains(stderr.String(), "loadtest") {
+	if !strings.Contains(stderr.String(), "cache-capacity") {
 		t.Errorf("usage text missing: %s", stderr.String())
 	}
 }
@@ -143,60 +99,6 @@ func TestBadCachePolicy(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "astrology") {
 		t.Errorf("stderr missing policy error: %s", stderr.String())
-	}
-	stderr.Reset()
-	if code := run([]string{"-loadtest", "-trace", "x.json", "-trace-policies", "bogus"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-}
-
-func TestTraceReplayInProcess(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "t.trace.json")
-	w, err := trace.Generate(trace.GeneratorSpec{
-		Kind: trace.GenZipf, Seed: 3, Events: 40, Configs: 6, Models: []string{"AlexNet v2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteWorkloadFile(tracePath, w); err != nil {
-		t.Fatal(err)
-	}
-	report := filepath.Join(t.TempDir(), "replay.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-loadtest",
-		"-trace", tracePath,
-		"-trace-sizes", "3",
-		"-trace-policies", "lru",
-		"-report", report,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "PASS") {
-		t.Errorf("stderr missing PASS: %s", stderr.String())
-	}
-	payload, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r service.ReplayReport
-	if err := json.Unmarshal(payload, &r); err != nil {
-		t.Fatalf("report not JSON: %v\n%s", err, payload)
-	}
-	if len(r.Curves) != 1 || r.Events != 40 {
-		t.Errorf("report = %+v", r)
-	}
-	// The offline section must include the oracle even though only lru was
-	// requested.
-	oracle := false
-	for _, row := range r.Offline {
-		if row.Policy == "belady" {
-			oracle = true
-		}
-	}
-	if !oracle {
-		t.Error("offline section missing the belady oracle")
 	}
 }
 
@@ -228,62 +130,5 @@ func TestFleetFlagValidation(t *testing.T) {
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("run(%v) exit %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
-	}
-}
-
-func TestFleetLoadtestThroughDaemons(t *testing.T) {
-	// Two real fleet members over loopback, then the cmd-level loadtest
-	// driven through both with -fleet-targets.
-	lns := make([]net.Listener, 2)
-	members := make([]fleet.Member, 2)
-	ids := []string{"n0", "n1"}
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		members[i] = fleet.Member{ID: ids[i], URL: "http://" + ln.Addr().String()}
-	}
-	for i, ln := range lns {
-		node, err := fleet.NewNode(fleet.Config{Self: ids[i], Members: members})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := &http.Server{Handler: service.New(service.Options{Fleet: node}).Handler()}
-		go srv.Serve(ln)
-		defer srv.Close()
-	}
-
-	report := filepath.Join(t.TempDir(), "fleet.json")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-loadtest",
-		"-fleet-targets", members[0].URL + "," + members[1].URL,
-		"-requests", "30",
-		"-concurrency", "4",
-		"-models", "AlexNet v2",
-		"-policies", "tic",
-		"-report", report,
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	payload, err := os.ReadFile(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r service.LoadReport
-	if err := json.Unmarshal(payload, &r); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.FleetTargets) != 2 {
-		t.Errorf("report fleet_targets = %v, want both nodes", r.FleetTargets)
-	}
-	if r.Mismatches != 0 || r.Failures != 0 {
-		t.Errorf("fleet loadtest saw %d mismatches, %d failures", r.Mismatches, r.Failures)
-	}
-	if len(r.PerNode) != 2 {
-		t.Errorf("per-node stats for %d nodes, want 2", len(r.PerNode))
 	}
 }

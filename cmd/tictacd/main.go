@@ -2,22 +2,14 @@
 // HTTP/JSON daemon that computes transfer schedules and what-if simulations
 // on demand, with a sharded request-coalescing cache under the handlers.
 //
-// Daemon mode (default):
+// Usage:
 //
 //	tictacd -addr :8080
 //
-// Endpoints: POST /v1/schedule, POST /v1/simulate, GET /v1/policies,
-// GET /healthz, GET /metrics. See docs/service.md for the API reference,
-// cache semantics and the determinism contract.
-//
-// Loadtest mode hammers a server with a deterministic request mix and
-// verifies every response byte-for-byte against direct library calls (CI's
-// service-smoke job runs exactly this):
-//
-//	tictacd -loadtest -target http://127.0.0.1:8080 -requests 500 -report latency.json
-//
-// With no -target it spins up an in-process server first, so a single
-// command proves the whole stack.
+// Endpoints: POST /v1/schedule, POST /v1/simulate, POST /v1/batch,
+// GET /v1/policies, GET /healthz, GET /metrics. See docs/service.md for the
+// API reference, cache semantics and the determinism contract, and
+// cmd/tictac-load for the load generator that checks a running daemon.
 package main
 
 import "os"

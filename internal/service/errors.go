@@ -12,8 +12,8 @@ import (
 // Stable machine-readable error codes. Every error response the service
 // emits — validation failures, method/path mismatches, size caps, internal
 // faults — carries exactly one of these in {"error":{"code","message"}}.
-// Codes are API surface: clients branch on them, the loadtest's
-// error-injection mode asserts them, and they never change meaning.
+// Codes are API surface: clients branch on them, the load generator's error
+// probes (internal/loadgen) assert them, and they never change meaning.
 const (
 	// CodeBadRequest is the generic client error: malformed JSON, unknown
 	// fields, out-of-range values, inconsistent envelopes.

@@ -33,8 +33,9 @@
 // request. All randomness derives from the request seed, predicted
 // makespans are simulated with zero jitter unless the request says
 // otherwise, cached responses are byte-identical to freshly built ones, and
-// batch results are bit-identical at any worker-pool width (the loadtest in
-// this package and the CI service-smoke job hold the server to all of it).
+// batch results are bit-identical at any worker-pool width (the load
+// generator in internal/loadgen and the CI service-smoke job hold the
+// server to all of it).
 package service
 
 import (
@@ -336,9 +337,9 @@ type ScheduleResult struct {
 }
 
 // computeScheduleResult is the single code path that turns a built cluster
-// into a schedule response — the cache's build function AND the loadtest's
-// direct-library reference both call it, so "byte-identical to a direct
-// library call" is enforced structurally.
+// into a schedule response. Every cache miss builds through it, and the
+// load generator's reference is a fresh in-process service, so a served
+// answer and its reference always come from this one function.
 func computeScheduleResult(ce *clusterEntry, r resolved) (*scheduleEntry, error) {
 	sc, err := ce.c.ComputeSchedule(r.policy, r.warmup, r.seed)
 	if err != nil {

@@ -523,3 +523,19 @@ func TestConcurrentCoalescing(t *testing.T) {
 func requestLabel(r ScheduleRequest) string {
 	return fmt.Sprintf("%s/%s/w%d", r.Model, r.Policy, r.Workers)
 }
+
+// TestNewPanicsOnUnknownCachePolicy pins the documented New contract:
+// options are resolved by callers first, so an unknown policy is a panic,
+// not a silent default.
+func TestNewPanicsOnUnknownCachePolicy(t *testing.T) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("New accepted an unknown cache policy")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "astrology") {
+			t.Fatalf("panic = %v, want the policy name in the message", r)
+		}
+	}()
+	New(Options{CachePolicy: "astrology"})
+}

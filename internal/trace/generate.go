@@ -34,7 +34,7 @@ type GeneratorSpec struct {
 	// Configs is the distinct request-config population size (default 64).
 	Configs int
 	// Models are the model names configs cycle through (default: the
-	// loadtest trio, all valid Table 1 names).
+	// load generator's trio, all valid Table 1 names).
 	Models []string
 	// Policies are the scheduling policies configs cycle through
 	// (default tic and critical-path).

@@ -16,7 +16,7 @@ const WorkloadVersion = 1
 // schedule-request arrivals. Traces are deterministic artifacts — generated
 // from a seed (Generate), committed as testdata, and replayed either
 // offline against a bare cache (ReplayCache) or against a live tictacd
-// (service.RunReplay).
+// (loadgen.Run).
 type Workload struct {
 	// Version is the trace format version; must equal WorkloadVersion.
 	Version int `json:"version"`

@@ -160,17 +160,6 @@ type (
 	// ServiceErrorResponse is the uniform error envelope
 	// {"error":{"code","message"}} every endpoint emits on failure.
 	ServiceErrorResponse = service.ErrorResponse
-	// ServiceLoadOptions configures the deterministic load generator.
-	ServiceLoadOptions = service.LoadOptions
-	// ServiceLoadReport summarizes one load-generator run.
-	ServiceLoadReport = service.LoadReport
-	// ServiceReplayOptions configures the trace-replay harness
-	// (tictacd -loadtest -trace).
-	ServiceReplayOptions = service.ReplayOptions
-	// ServiceReplayReport summarizes one trace replay: live hit-rate and
-	// latency curves per eviction policy × cache size, plus the offline
-	// pure-cache shootout with the Belady oracle.
-	ServiceReplayReport = service.ReplayReport
 
 	// FleetMember identifies one tictacd node in a sharded fleet.
 	FleetMember = fleet.Member
@@ -330,19 +319,6 @@ func NewService(opts ServiceOptions) *SchedulingService { return service.New(opt
 // to run the health probe loop. See docs/fleet.md for ring semantics, the
 // health state machine and the drain protocol.
 func NewFleetNode(cfg FleetConfig) (*FleetNode, error) { return fleet.NewNode(cfg) }
-
-// RunServiceLoad drives the deterministic load generator against a running
-// service and verifies every response against direct library computation.
-func RunServiceLoad(opts ServiceLoadOptions) (*ServiceLoadReport, error) {
-	return service.RunLoad(opts)
-}
-
-// RunServiceReplay replays a workload trace against the service and
-// reports hit-rate/latency curves per trace × cache size × eviction
-// policy, plus the offline pure-cache shootout (Belady oracle included).
-func RunServiceReplay(opts ServiceReplayOptions) (*ServiceReplayReport, error) {
-	return service.RunReplay(opts)
-}
 
 // CachePolicies returns every registered cache eviction-policy name in
 // registration order.
