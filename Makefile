@@ -38,7 +38,7 @@ benchmark-test:
 # Race gate: the packages with documented concurrency contracts — the real
 # TCP PS runtime, the simulator, the cluster layer, the scheduling-policy
 # registry, the parallel bench engine (plus the bench experiments that fan
-# out across it), the sharded singleflight cache, the HTTP service built
+# out across it), the single-lock singleflight cache, the HTTP service built
 # on it, the fleet layer (probe loops, hedged forwarding, drain racing
 # writes) and the load generator that kills a fleet node mid-load — the
 # cost-model/stats value types those goroutines share, and

@@ -23,7 +23,6 @@ type app struct {
 	addr          string
 	cacheCapacity int
 	cachePolicy   string
-	shards        int
 	latencyWindow int
 	maxBatch      int
 	batchJobs     int
@@ -46,7 +45,6 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 	fs.StringVar(&a.addr, "addr", ":8080", "listen address for daemon mode")
 	fs.IntVar(&a.cacheCapacity, "cache-capacity", service.DefaultCacheCapacity, "resident entries per cache (clusters, schedules)")
 	fs.StringVar(&a.cachePolicy, "cache-policy", cache.LRU, "cache eviction policy ("+strings.Join(cache.Policies(), "|")+")")
-	fs.IntVar(&a.shards, "shards", service.DefaultShards, "cache shard count")
 	fs.IntVar(&a.latencyWindow, "latency-window", 0, "latency sample window for /metrics percentiles (0 = default)")
 	fs.IntVar(&a.maxBatch, "max-batch", service.DefaultMaxBatch, "max variants per /v1/batch request (above = 413 batch_too_large)")
 	fs.IntVar(&a.batchJobs, "batch-jobs", 0, "worker-pool width for /v1/batch fan-out (0 = GOMAXPROCS; results are identical at any width)")
@@ -113,7 +111,6 @@ func (a *app) options() service.Options {
 	return service.Options{
 		CacheCapacity: a.cacheCapacity,
 		CachePolicy:   a.cachePolicy,
-		Shards:        a.shards,
 		LatencyWindow: a.latencyWindow,
 		MaxBatch:      a.maxBatch,
 		BatchJobs:     a.batchJobs,

@@ -1,6 +1,6 @@
 // Command tictacd is the TicTac scheduling service: a long-running
 // HTTP/JSON daemon that computes transfer schedules and what-if simulations
-// on demand, with a sharded request-coalescing cache under the handlers.
+// on demand, with a request-coalescing cache under the handlers.
 //
 // Usage:
 //

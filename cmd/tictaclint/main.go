@@ -1,7 +1,7 @@
 // Command tictaclint is the repo's custom static-analysis suite, built on
 // the stdlib-only framework in internal/analysis. It machine-checks the
 // contracts the code comments only state: determinism (detrand), hot-path
-// allocation discipline (hotpathalloc), shard locking (lockdiscipline),
+// allocation discipline (hotpathalloc), cache locking (lockdiscipline),
 // error-code documentation (errcode) and registry shape (registryhygiene).
 //
 // Run it as a go vet tool so package loading, caching and test-file

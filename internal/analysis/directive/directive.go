@@ -7,7 +7,7 @@
 //	    The declaration below may read clocks or process-global randomness
 //	    (detrand waiver; the reason is mandatory).
 //	//tictac:locked
-//	    The function below requires its caller to hold the relevant shard
+//	    The function below requires its caller to hold the relevant
 //	    lock (lockdiscipline treats the body as locked, and checks that
 //	    callers hold a lock).
 //	//tictac:guardedby <field>

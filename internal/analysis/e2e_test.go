@@ -72,11 +72,14 @@ type mutation struct {
 
 var mutations = []mutation{
 	{
+		// The cache once seeded shard selection with maphash.MakeSeed under
+		// a waiver. There is no waiver left to delete, so the case puts the
+		// per-process seed back without one.
 		name:     "detrand/deleting-maphash-waiver",
 		pattern:  "tictac/internal/cache",
 		file:     "internal/cache/cache.go",
-		old:      "//tictac:nondeterministic maphash.MakeSeed only spreads keys across shards; hit/miss/eviction semantics and every returned value are identical for any seed\n",
-		new:      "",
+		old:      "\t\"sync/atomic\"\n)\n",
+		new:      "\t\"sync/atomic\"\n\t\"hash/maphash\"\n)\n\nvar seed = maphash.MakeSeed()\n",
 		analyzer: "detrand",
 		want:     "maphash.MakeSeed",
 	},
@@ -103,8 +106,8 @@ var mutations = []mutation{
 		name:     "lockdiscipline/dropping-lock-in-get",
 		pattern:  "tictac/internal/cache",
 		file:     "internal/cache/cache.go",
-		old:      "\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n\tif e, ok := s.entries[key]; ok && e.complete {",
-		new:      "\tif e, ok := s.entries[key]; ok && e.complete {",
+		old:      "\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\tif e, ok := c.entries[key]; ok && e.complete {",
+		new:      "\tif e, ok := c.entries[key]; ok && e.complete {",
 		analyzer: "lockdiscipline",
 		want:     "EvictionPolicy.Touch",
 	},

@@ -60,7 +60,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos falls in a _test.go file. The tictaclint
 // contracts bind non-test code: tests legitimately read clocks, drive
-// eviction policies without the shard lock, and register throwaway names,
+// eviction policies without the cache lock, and register throwaway names,
 // so every analyzer in the suite skips test files through this helper.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)

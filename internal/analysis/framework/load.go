@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 )
 
@@ -31,11 +32,11 @@ type LoadConfig struct {
 	// Dir is where `go list` runs (it must be inside the module); ""
 	// means the current directory.
 	Dir string
-	// Overlay substitutes file contents by absolute path at parse time:
-	// the package's file list still comes from disk, but a file present in
-	// the overlay is parsed from the given bytes instead. The e2e tests
-	// use it to delete waivers and reintroduce violations without
-	// touching the tree.
+	// Overlay substitutes file contents by absolute path: the package's
+	// file list still comes from disk, but a file present in the overlay
+	// is parsed from the given bytes instead, and `go list` sees the same
+	// bytes, so an overlay may add imports. The e2e tests use it to
+	// reintroduce violations without touching the tree.
 	Overlay map[string][]byte
 }
 
@@ -54,11 +55,23 @@ type listedPackage struct {
 // data the go toolchain produced for its imports. It needs no network and
 // no third-party modules: the gc importer consumes the build cache.
 func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
-	args := append([]string{
+	args := []string{
 		"list", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
+	}
+	if len(cfg.Overlay) > 0 {
+		dir, err := os.MkdirTemp("", "tictaclint-overlay")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		spec, err := writeOverlay(dir, cfg.Overlay)
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, "-overlay", spec)
+	}
+	cmd := exec.Command("go", append(args, patterns...)...)
 	cmd.Dir = cfg.Dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -120,6 +133,25 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		})
 	}
 	return pkgs, nil
+}
+
+// writeOverlay writes overlay into dir in the form `go list -overlay`
+// reads and returns the path of its JSON spec.
+func writeOverlay(dir string, overlay map[string][]byte) (string, error) {
+	replace := make(map[string]string, len(overlay))
+	for path, src := range overlay {
+		file := filepath.Join(dir, fmt.Sprintf("%d.go", len(replace)))
+		if err := os.WriteFile(file, src, 0o600); err != nil {
+			return "", err
+		}
+		replace[path] = file
+	}
+	spec, err := json.Marshal(struct{ Replace map[string]string }{replace})
+	if err != nil {
+		return "", err
+	}
+	file := filepath.Join(dir, "overlay.json")
+	return file, os.WriteFile(file, spec, 0o600)
 }
 
 func parseMaybeOverlay(fset *token.FileSet, filename string, overlay map[string][]byte) (*ast.File, error) {

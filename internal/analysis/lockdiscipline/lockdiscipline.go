@@ -1,7 +1,7 @@
-// Package lockdiscipline implements the shard-locking analyzer. The cache's
+// Package lockdiscipline implements the cache-locking analyzer. The cache's
 // eviction policies are deliberately not thread-safe (see the
 // EvictionPolicy contract in internal/cache/policy.go): every
-// Admit/Touch/Victim/Remove call must happen inside the owning shard's
+// Admit/Touch/Victim/Remove call must happen inside the owning cache's
 // mutex span. Likewise, struct fields annotated
 //
 //	//tictac:guardedby <mutexField>
@@ -331,7 +331,7 @@ func (w *walker) checkCall(call *ast.CallExpr, held map[string]bool) {
 	}
 	if callee != nil && w.lockedFuncs[callee] {
 		if len(held) == 0 {
-			w.pass.Reportf(call.Pos(), "%s is //tictac:locked (caller must hold the shard lock) but no lock is held here", callee.Name())
+			w.pass.Reportf(call.Pos(), "%s is //tictac:locked (caller must hold the lock) but no lock is held here", callee.Name())
 		}
 		return
 	}
@@ -346,7 +346,7 @@ func (w *walker) checkCall(call *ast.CallExpr, held map[string]bool) {
 	}
 	base := baseIdent(sel.X)
 	if base == "" || !heldForBase(held, base) {
-		w.pass.Reportf(call.Pos(), "EvictionPolicy.%s called without holding %s's lock; policies are not thread-safe and must run under the owning shard's mutex", sel.Sel.Name, renderBase(base, sel.X))
+		w.pass.Reportf(call.Pos(), "EvictionPolicy.%s called without holding %s's lock; policies are not thread-safe and must run under the owning cache's mutex", sel.Sel.Name, renderBase(base, sel.X))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // hetero sweep adds scenarios on top — build each cluster once instead of
 // once per point.
 //
-// It is a thin veneer over internal/cache (the sharded, request-coalescing
+// It is a thin veneer over internal/cache (the request-coalescing
 // LRU that also backs the tictacd service): unbounded capacity, because an
 // experiment's working set is its point list and nothing outlives the
 // invocation, with the cache's singleflight guaranteeing that concurrent
@@ -52,8 +52,8 @@ type schedKey struct {
 
 func newBuildCache() *buildCache {
 	return &buildCache{
-		clusters: cache.New[cluster.Config, *cluster.Cluster](4, 0),
-		scheds:   cache.New[schedKey, *core.Schedule](4, 0),
+		clusters: cache.NewWith(cache.Config[cluster.Config, *cluster.Cluster]{}),
+		scheds:   cache.NewWith(cache.Config[schedKey, *core.Schedule]{}),
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package cache provides a sharded, request-coalescing cache with pluggable
-// eviction policies for expensive deterministic builds.
+// Package cache provides a request-coalescing cache with pluggable eviction
+// policies for expensive deterministic builds.
 //
 // It generalizes the memoization pattern the bench harness grew in
 // internal/bench/cache.go — map + sync.Once per key — into a reusable layer
@@ -11,11 +11,11 @@
 //   - Do(key, build) returns the cached value for key, building it at most
 //     once per residency: concurrent callers for the same missing key
 //     coalesce onto one build and all receive its result.
-//   - Values are retained per shard up to the configured budgets; which
-//     resident entry goes first is decided by the shard's EvictionPolicy
-//     (default: LRU — see policy.go for the registry mirroring
-//     internal/sched). Eviction only touches completed entries: an
-//     in-flight build is never evicted from under its waiters.
+//   - Values are retained up to the configured budgets, which are exact;
+//     which resident entry goes first is decided by the cache's
+//     EvictionPolicy (default: LRU — see policy.go for the registry
+//     mirroring internal/sched). Eviction only touches completed entries:
+//     an in-flight build is never evicted from under its waiters.
 //   - Errors are returned to every coalesced waiter but never cached: the
 //     next Do for the key builds again.
 //
@@ -26,9 +26,10 @@
 package cache
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -94,25 +95,20 @@ func (s Stats) HitRate() float64 {
 }
 
 // Config parameterizes NewWith. The zero value of every field selects the
-// documented default, so Config{} is a valid single-shard unbounded LRU.
+// documented default, so Config{} is a valid unbounded LRU.
 type Config[K comparable, V any] struct {
-	// Shards is the shard count (< 1 is raised to 1).
-	Shards int
-	// Capacity bounds resident entries across all shards; <= 0 means
-	// unbounded. It is split evenly across shards, rounding up, so a
-	// bounded cache never rounds a shard down to zero retention.
+	// Capacity bounds resident entries; <= 0 means unbounded.
 	Capacity int
-	// CostCapacity bounds the total Cost of resident entries across all
-	// shards (same rounding); <= 0 means unbounded. A single entry whose
-	// cost exceeds the per-shard budget is served but not retained.
+	// CostCapacity bounds the total Cost of resident entries; <= 0 means
+	// unbounded. A single entry whose cost exceeds it is served but not
+	// retained.
 	CostCapacity int64
-	// Policy names the registered eviction policy ("" selects LRU).
-	Policy string
-	// NewPolicy, when non-nil, overrides Policy with a caller-constructed
-	// instance per shard — the hook primed oracles (NewBelady) come in
-	// through. Callers priming a policy with a global access sequence
-	// should use Shards: 1 so one instance observes every access.
-	NewPolicy PolicyFactory
+	// Policy is the eviction policy the cache drives; nil selects LRU.
+	// Callers holding a name resolve it with NewPolicy. The cache takes
+	// the instance over and feeds it every access, so an oracle primed
+	// with a global access sequence (NewBelady) sees exactly that
+	// sequence. Never share one instance between caches.
+	Policy EvictionPolicy
 	// Cost assigns each entry the cost its policy sees and CostCapacity
 	// accounts; nil charges 1 per entry (so Capacity counts entries).
 	Cost func(K, V) int64
@@ -122,38 +118,33 @@ type Config[K comparable, V any] struct {
 	KeyID func(K) string
 }
 
-// Cache is a sharded, policy-driven cache with request coalescing. The zero
-// value is not usable; call New or NewWith.
+// Cache is a policy-driven cache with request coalescing. One mutex guards
+// every entry and the policy, so for any sequence of Do and Get calls made
+// one at a time, hits, misses, evictions and the resident set depend only
+// on that sequence. The zero value is not usable; call NewWith.
 type Cache[K comparable, V any] struct {
-	shards []shard[K, V]
-	seed   maphash.Seed
-	// capacity / costCapacity are the per-shard budgets; <= 0 = unbounded.
+	// capacity / costCapacity are the budgets; <= 0 = unbounded.
 	capacity     int
 	costCapacity int64
-	policyName   string
 	cost         func(K, V) int64
 	keyID        func(K) string
 
-	hits, misses, coalesced, evictions, errors atomic.Uint64
-}
-
-type shard[K comparable, V any] struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	//tictac:guardedby mu
 	entries map[K]*entry[K, V]
 	// byHandle maps the opaque handles the eviction policy speaks back to
-	// resident entries; nextHandle is never reused.
+	// resident entries, so len(byHandle) is the resident count; nextHandle
+	// is never reused.
+	//tictac:guardedby mu
 	byHandle map[Handle]*entry[K, V]
 	//tictac:guardedby mu
 	nextHandle Handle
 	policy     EvictionPolicy
-	//tictac:guardedby mu
-	resident int
-	// residentCost is the Cost sum of resident entries; evictions counts
-	// this shard's evictions.
+	// residentCost is the Cost sum of resident entries.
 	//tictac:guardedby mu
 	residentCost int64
-	//tictac:guardedby mu
-	evictions uint64
+
+	hits, misses, coalesced, evictions, errors atomic.Uint64
 }
 
 type entry[K comparable, V any] struct {
@@ -164,82 +155,36 @@ type entry[K comparable, V any] struct {
 	done chan struct{}
 	val  V
 	err  error
-	// complete is guarded by the shard mutex (waiters outside the lock use
+	// complete is guarded by the cache mutex (waiters outside the lock use
 	// the done channel instead).
 	complete bool
 }
 
-// New returns an LRU cache with the given shard count and total capacity
-// (resident entries across all shards; <= 0 means unbounded) — the
-// pre-registry constructor, behavior-identical to the original LRU-only
-// implementation.
-func New[K comparable, V any](shards, capacity int) *Cache[K, V] {
-	c, err := NewWith(Config[K, V]{Shards: shards, Capacity: capacity})
-	if err != nil {
-		panic(err) // unreachable: the default policy is always registered
+// NewWith returns a cache configured by cfg.
+func NewWith[K comparable, V any](cfg Config[K, V]) *Cache[K, V] {
+	c := &Cache[K, V]{
+		capacity:     cfg.Capacity,
+		costCapacity: cfg.CostCapacity,
+		cost:         cfg.Cost,
+		keyID:        cfg.KeyID,
+		entries:      make(map[K]*entry[K, V]),
+		byHandle:     make(map[Handle]*entry[K, V]),
+		policy:       cfg.Policy,
+	}
+	if c.cost == nil {
+		c.cost = func(K, V) int64 { return 1 }
+	}
+	if c.keyID == nil {
+		c.keyID = func(k K) string { return fmt.Sprint(k) }
+	}
+	if c.policy == nil {
+		c.policy = newLRUPolicy()
 	}
 	return c
 }
 
-// NewWith returns a cache configured by cfg. It errors on an unknown
-// eviction policy name, listing the registry.
-//
-//tictac:nondeterministic maphash.MakeSeed only spreads keys across shards; hit/miss/eviction semantics and every returned value are identical for any seed
-func NewWith[K comparable, V any](cfg Config[K, V]) (*Cache[K, V], error) {
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	factory := cfg.NewPolicy
-	name := cfg.Policy
-	if factory == nil {
-		if name == "" {
-			name = LRU
-		}
-		if _, err := NewPolicy(name); err != nil {
-			return nil, err
-		}
-		factory = func() EvictionPolicy { p, _ := NewPolicy(name); return p }
-	}
-	perShard := 0
-	if cfg.Capacity > 0 {
-		perShard = (cfg.Capacity + shards - 1) / shards
-	}
-	var perShardCost int64
-	if cfg.CostCapacity > 0 {
-		perShardCost = (cfg.CostCapacity + int64(shards) - 1) / int64(shards)
-	}
-	cost := cfg.Cost
-	if cost == nil {
-		cost = func(K, V) int64 { return 1 }
-	}
-	keyID := cfg.KeyID
-	if keyID == nil {
-		keyID = func(k K) string { return fmt.Sprint(k) }
-	}
-	c := &Cache[K, V]{
-		shards:       make([]shard[K, V], shards),
-		seed:         maphash.MakeSeed(),
-		capacity:     perShard,
-		costCapacity: perShardCost,
-		cost:         cost,
-		keyID:        keyID,
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.entries = make(map[K]*entry[K, V])
-		s.byHandle = make(map[Handle]*entry[K, V])
-		s.policy = factory()
-		if s.policy == nil {
-			return nil, errors.New("cache: policy factory returned nil")
-		}
-	}
-	c.policyName = c.shards[0].policy.Name()
-	return c, nil
-}
-
 // Policy returns the eviction policy name this cache runs.
-func (c *Cache[K, V]) Policy() string { return c.policyName }
+func (c *Cache[K, V]) Policy() string { return c.policy.Name() }
 
 // Do returns the value for key, building it with build on a miss.
 // Concurrent calls for the same missing key run build exactly once and all
@@ -248,23 +193,22 @@ func (c *Cache[K, V]) Policy() string { return c.policyName }
 //
 //tictac:hotpath
 func (c *Cache[K, V]) Do(key K, build func() (V, error)) (V, Outcome, error) {
-	s := &c.shards[maphash.Comparable(c.seed, key)%uint64(len(c.shards))]
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
 		if e.complete {
-			s.policy.Touch(e.handle)
-			s.mu.Unlock()
+			c.policy.Touch(e.handle)
+			c.mu.Unlock()
 			c.hits.Add(1)
 			return e.val, Hit, nil
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.coalesced.Add(1)
 		<-e.done
 		return e.val, Coalesced, e.err
 	}
 	e := &entry[K, V]{key: key, done: make(chan struct{})}
-	s.entries[key] = e
-	s.mu.Unlock()
+	c.entries[key] = e
+	c.mu.Unlock()
 	c.misses.Add(1)
 
 	// Completion must run even if build panics: otherwise the in-flight
@@ -280,18 +224,18 @@ func (c *Cache[K, V]) Do(key K, build func() (V, error)) (V, Outcome, error) {
 		if !finished && err == nil {
 			err = ErrBuildPanic
 		}
-		s.mu.Lock()
+		c.mu.Lock()
 		e.val, e.err = val, err
 		e.complete = true
 		if e.err != nil {
 			// Never cache failures: the key disappears before any future Do
 			// can observe it, so the next lookup rebuilds.
-			delete(s.entries, key)
+			delete(c.entries, key)
 			c.errors.Add(1)
 		} else {
-			c.admit(s, e)
+			c.admit(e)
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		close(e.done)
 	}()
 	val, err = build()
@@ -299,23 +243,22 @@ func (c *Cache[K, V]) Do(key K, build func() (V, error)) (V, Outcome, error) {
 	return val, Miss, err
 }
 
-// admit hands a freshly completed entry to the shard's eviction policy and
-// restores the capacity invariants. Caller holds s.mu. Note the admitted
-// entry itself is a legal victim: a single entry costlier than the shard's
-// whole cost budget is served to its waiters but not retained.
+// admit hands a freshly completed entry to the eviction policy and
+// restores the capacity invariants. Caller holds c.mu. Note the admitted
+// entry itself is a legal victim: a single entry costlier than the whole
+// cost budget is served to its waiters but not retained.
 //
 //tictac:locked
-func (c *Cache[K, V]) admit(s *shard[K, V], e *entry[K, V]) {
-	e.handle = s.nextHandle
-	s.nextHandle++
+func (c *Cache[K, V]) admit(e *entry[K, V]) {
+	e.handle = c.nextHandle
+	c.nextHandle++
 	e.cost = c.cost(e.key, e.val)
-	s.byHandle[e.handle] = e
-	s.policy.Admit(e.handle, c.keyID(e.key), e.cost)
-	s.resident++
-	s.residentCost += e.cost
-	for (c.capacity > 0 && s.resident > c.capacity) ||
-		(c.costCapacity > 0 && s.residentCost > c.costCapacity) {
-		if !c.evict(s) {
+	c.byHandle[e.handle] = e
+	c.policy.Admit(e.handle, c.keyID(e.key), e.cost)
+	c.residentCost += e.cost
+	for (c.capacity > 0 && len(c.byHandle) > c.capacity) ||
+		(c.costCapacity > 0 && c.residentCost > c.costCapacity) {
+		if !c.evict() {
 			return
 		}
 	}
@@ -324,11 +267,10 @@ func (c *Cache[K, V]) admit(s *shard[K, V], e *entry[K, V]) {
 // Get returns the resident value for key without building. It never
 // coalesces: an in-flight build is reported as absent.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
-	s := &c.shards[maphash.Comparable(c.seed, key)%uint64(len(c.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok && e.complete {
-		s.policy.Touch(e.handle)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok && e.complete {
+		c.policy.Touch(e.handle)
 		return e.val, true
 	}
 	var zero V
@@ -337,54 +279,33 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 
 // Len returns the number of resident values.
 func (c *Cache[K, V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.resident
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.byHandle)
 }
 
 // CostLen returns the total Cost of resident values.
 func (c *Cache[K, V]) CostLen() int64 {
-	var n int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.residentCost
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.residentCost
 }
 
-// ForEach calls fn once per resident value, in deterministic order: shards
-// by index, entries within a shard by admission handle (the order their
-// builds completed). In-flight builds are skipped. Each shard's snapshot is
-// taken under its lock but fn runs outside it, so fn may call back into the
-// cache; entries admitted or evicted while ForEach runs may or may not be
-// observed. The fleet drain path iterates the schedule cache through this.
+// ForEach calls fn once per value resident when ForEach was called, in
+// admission order (the order their builds completed); in-flight builds are
+// skipped. fn runs outside the lock, so it may call back into the cache.
+// The fleet drain path iterates the schedule cache through this.
 func (c *Cache[K, V]) ForEach(fn func(K, V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		type kv struct {
-			k K
-			v V
-		}
-		snap := make([]kv, 0, s.resident)
-		// Walk handles in admission order rather than ranging the map:
-		// handles are dense-ish and never reused, so this is deterministic.
-		for h := Handle(0); h < s.nextHandle; h++ {
-			if e, ok := s.byHandle[h]; ok && e.complete {
-				snap = append(snap, kv{k: e.key, v: e.val})
-			}
-		}
-		s.mu.Unlock()
-		for _, e := range snap {
-			fn(e.k, e.v)
-		}
+	c.mu.Lock()
+	snap := make([]*entry[K, V], 0, len(c.byHandle))
+	for _, e := range c.byHandle {
+		snap = append(snap, e)
+	}
+	c.mu.Unlock()
+	// Handles are immutable once admitted, so sorting needs no lock.
+	slices.SortFunc(snap, func(a, b *entry[K, V]) int { return cmp.Compare(a.handle, b.handle) })
+	for _, e := range snap {
+		fn(e.key, e.val)
 	}
 }
 
@@ -399,43 +320,27 @@ func (c *Cache[K, V]) Stats() Stats {
 	}
 }
 
-// ShardEvictions returns the per-shard eviction counts (index = shard).
-// Their sum equals Stats().Evictions; /metrics surfaces both so a skewed
-// shard (hot-key pile-up under a small capacity) is observable.
-func (c *Cache[K, V]) ShardEvictions() []uint64 {
-	out := make([]uint64, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out[i] = s.evictions
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// evict removes the policy's chosen victim from s, reporting whether an
-// eviction happened. Caller holds s.mu; in-flight entries were never
-// admitted to the policy and cannot be chosen.
+// evict removes the policy's chosen victim, reporting whether an eviction
+// happened. Caller holds c.mu; in-flight entries were never admitted to the
+// policy and cannot be chosen.
 //
 //tictac:locked
-func (c *Cache[K, V]) evict(s *shard[K, V]) bool {
-	h, ok := s.policy.Victim()
+func (c *Cache[K, V]) evict() bool {
+	h, ok := c.policy.Victim()
 	if !ok {
 		return false
 	}
-	e, ok := s.byHandle[h]
+	e, ok := c.byHandle[h]
 	if !ok {
 		// A policy returning an unknown handle is a contract violation;
 		// withdraw it so the eviction loop cannot spin on it forever.
-		s.policy.Remove(h)
+		c.policy.Remove(h)
 		return false
 	}
-	s.policy.Remove(h)
-	delete(s.byHandle, h)
-	delete(s.entries, e.key)
-	s.resident--
-	s.residentCost -= e.cost
-	s.evictions++
+	c.policy.Remove(h)
+	delete(c.byHandle, h)
+	delete(c.entries, e.key)
+	c.residentCost -= e.cost
 	c.evictions.Add(1)
 	return true
 }

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestDoBuildsOncePerKey(t *testing.T) {
-	c := New[string, int](4, 0)
+	c := NewWith(Config[string, int]{})
 	builds := 0
 	for i := 0; i < 5; i++ {
 		v, outcome, err := c.Do("k", func() (int, error) {
@@ -40,7 +41,7 @@ func TestCoalescingSingleBuild(t *testing.T) {
 	// The first caller's build blocks on gate, so every concurrent caller
 	// either coalesces onto the in-flight build or (if it arrives after the
 	// release) hits the resident value. Either way: exactly one build.
-	c := New[string, string](8, 0)
+	c := NewWith(Config[string, string]{})
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var builds atomic.Int64
@@ -107,7 +108,7 @@ func TestCoalescingSingleBuild(t *testing.T) {
 }
 
 func TestErrorsAreNotCached(t *testing.T) {
-	c := New[string, int](2, 0)
+	c := NewWith(Config[string, int]{})
 	boom := errors.New("boom")
 	calls := 0
 	build := func() (int, error) {
@@ -133,7 +134,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 }
 
 func TestPanickingBuildDoesNotWedgeKey(t *testing.T) {
-	c := New[string, int](2, 0)
+	c := NewWith(Config[string, int]{})
 
 	// Leader panics mid-build while a waiter is coalesced onto the entry.
 	entered := make(chan struct{})
@@ -178,8 +179,7 @@ func TestPanickingBuildDoesNotWedgeKey(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard so the LRU order is total.
-	c := New[int, int](1, 3)
+	c := NewWith(Config[int, int]{Capacity: 3})
 	build := func(k int) func() (int, error) {
 		return func() (int, error) { return k * 10, nil }
 	}
@@ -209,7 +209,7 @@ func TestStructKeys(t *testing.T) {
 		Name string
 		N    int
 	}
-	c := New[key, string](4, 0)
+	c := NewWith(Config[key, string]{})
 	mk := func(k key) func() (string, error) {
 		return func() (string, error) { return fmt.Sprintf("%s/%d", k.Name, k.N), nil }
 	}
@@ -226,7 +226,7 @@ func TestStructKeys(t *testing.T) {
 }
 
 func TestConcurrentMixedKeys(t *testing.T) {
-	c := New[int, int](8, 64)
+	c := NewWith(Config[int, int]{Capacity: 64})
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	const goroutines, perG, keys = 32, 50, 16
@@ -257,7 +257,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 }
 
 func TestUnboundedNeverEvicts(t *testing.T) {
-	c := New[int, int](4, 0)
+	c := NewWith(Config[int, int]{})
 	for k := 0; k < 1000; k++ {
 		c.Do(k, func() (int, error) { return k, nil })
 	}
@@ -266,5 +266,32 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	}
 	if got := c.Stats(); got.Evictions != 0 {
 		t.Fatalf("unbounded cache evicted %d entries", got.Evictions)
+	}
+}
+
+// TestForEachWalksResidentEntries pushes 10,000 keys through capacity 4:
+// ForEach must yield exactly the resident entries, in admission order
+// rather than recency order, and fn may call back into the cache.
+func TestForEachWalksResidentEntries(t *testing.T) {
+	c := NewWith(Config[int, int]{Capacity: 4})
+	for k := 0; k < 10000; k++ {
+		c.Do(k, func() (int, error) { return -k, nil })
+	}
+	// Touch 9996 so recency order differs from admission order: the next
+	// admission evicts 9997, the least recently used.
+	c.Get(9996)
+	c.Do(10000, func() (int, error) { return -10000, nil })
+	var got []int
+	c.ForEach(func(k, v int) {
+		if v != -k {
+			t.Errorf("ForEach(%d) value %d, want %d", k, v, -k)
+		}
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("ForEach yielded %d, which is not resident", k)
+		}
+		got = append(got, k)
+	})
+	if want := []int{9996, 9998, 9999, 10000}; !slices.Equal(got, want) {
+		t.Fatalf("ForEach yielded %v, want %v", got, want)
 	}
 }

@@ -34,12 +34,9 @@ func TestPolicyConformance(t *testing.T) {
 	}
 }
 
-func newConformanceCache(t *testing.T, policy string, shards, capacity int) *Cache[string, string] {
+func newConformanceCache(t *testing.T, policy string, capacity int) *Cache[string, string] {
 	t.Helper()
-	c, err := NewWith(Config[string, string]{Shards: shards, Capacity: capacity, Policy: policy})
-	if err != nil {
-		t.Fatalf("NewWith(%q): %v", policy, err)
-	}
+	c := newCache(t, policy, Config[string, string]{Capacity: capacity})
 	if got := c.Policy(); got != policy {
 		t.Fatalf("Policy() = %q, want %q", got, policy)
 	}
@@ -50,7 +47,7 @@ func newConformanceCache(t *testing.T, policy string, shards, capacity int) *Cac
 // arrive: however the policy ranks entries, the build must run exactly once
 // and every caller must receive its value.
 func testConformanceCoalescing(t *testing.T, policy string) {
-	c := newConformanceCache(t, policy, 8, 4)
+	c := newConformanceCache(t, policy, 4)
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var builds atomic.Int64
@@ -108,7 +105,7 @@ func testConformanceCoalescing(t *testing.T, policy string) {
 // testConformanceErrors proves a failed build leaves nothing resident and
 // the next lookup rebuilds, whatever the policy.
 func testConformanceErrors(t *testing.T, policy string) {
-	c := newConformanceCache(t, policy, 2, 4)
+	c := newConformanceCache(t, policy, 4)
 	boom := errors.New("boom")
 	calls := 0
 	build := func() (string, error) {
@@ -133,12 +130,12 @@ func testConformanceErrors(t *testing.T, policy string) {
 	}
 }
 
-// testConformanceInFlight wedges a build open on a capacity-1 shard, then
-// churns enough other keys through the shard to force evictions well past
-// the capacity. The in-flight entry must be untouchable: its waiter gets
+// testConformanceInFlight wedges a build open on a capacity-1 cache, then
+// churns enough other keys through it to force evictions well past the
+// capacity. The in-flight entry must be untouchable: its waiter gets
 // the built value, never an eviction artifact.
 func testConformanceInFlight(t *testing.T, policy string) {
-	c := newConformanceCache(t, policy, 1, 1)
+	c := newConformanceCache(t, policy, 1)
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	done := make(chan error, 1)
@@ -170,18 +167,17 @@ func testConformanceInFlight(t *testing.T, policy string) {
 		t.Fatalf("in-flight build: %v", err)
 	}
 	// The freshly admitted entry may itself then be evicted by policy
-	// choice, but the shard must be back within budget.
+	// choice, but the cache must be back within budget.
 	if n := c.Len(); n > 1 {
 		t.Fatalf("resident = %d after completion, capacity 1", n)
 	}
 }
 
 // testConformanceCounters runs a deterministic single-goroutine workload
-// and checks the books: every lookup is classified exactly once, per-shard
-// evictions sum to the total, and residency equals admissions minus
-// departures.
+// and checks the books: every lookup is classified exactly once, residency
+// equals admissions minus departures, and the capacity bound is exact.
 func testConformanceCounters(t *testing.T, policy string) {
-	c := newConformanceCache(t, policy, 4, 8)
+	c := newConformanceCache(t, policy, 8)
 	lookups := 0
 	for round := 0; round < 3; round++ {
 		for k := 0; k < 20; k++ {
@@ -205,13 +201,6 @@ func testConformanceCounters(t *testing.T, policy string) {
 	if st.Coalesced != 0 {
 		t.Fatalf("sequential workload coalesced %d times", st.Coalesced)
 	}
-	var shardSum uint64
-	for _, n := range c.ShardEvictions() {
-		shardSum += n
-	}
-	if shardSum != st.Evictions {
-		t.Fatalf("per-shard evictions sum to %d, total says %d", shardSum, st.Evictions)
-	}
 	wantResident := st.Misses - st.Errors - st.Evictions
 	if got := uint64(c.Len()); got != wantResident {
 		t.Fatalf("Len() = %d, want misses-errors-evictions = %d (stats %+v)", got, wantResident, st)
@@ -219,8 +208,8 @@ func testConformanceCounters(t *testing.T, policy string) {
 	if st.Evictions == 0 {
 		t.Fatalf("20 keys through capacity 8 evicted nothing (stats %+v)", st)
 	}
-	if c.Len() > 8+3 { // per-shard rounding: ceil(8/4)=2 per shard, 4 shards
-		t.Fatalf("resident %d exceeds rounded capacity", c.Len())
+	if c.Len() > 8 {
+		t.Fatalf("resident %d exceeds capacity 8", c.Len())
 	}
 }
 
@@ -229,7 +218,7 @@ func testConformanceCounters(t *testing.T, policy string) {
 // than the capacity, so eviction, coalescing and hits interleave freely.
 // Every returned value must be the right one for its key.
 func testConformanceHammer(t *testing.T, policy string) {
-	c := newConformanceCache(t, policy, 4, 8)
+	c := newConformanceCache(t, policy, 8)
 	var builds atomic.Int64
 	const goroutines, perG, keys = 48, 60, 24
 	var wg sync.WaitGroup

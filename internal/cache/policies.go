@@ -211,9 +211,8 @@ func (p *sizePolicy) Remove(h Handle) {
 //
 // A primed oracle assumes it observes exactly the primed sequence: each
 // Do/Get on the owning cache advances an internal cursor by one access.
-// Replay it single-sharded and sequentially (internal/trace.ReplayCache
-// does) — a diverging access stream yields well-defined but no longer
-// optimal choices.
+// Replay it sequentially (internal/trace.ReplayCache does) — a diverging
+// access stream yields well-defined but no longer optimal choices.
 type beladyPolicy struct {
 	lru lruPolicy // recency fallback + deterministic resident iteration
 

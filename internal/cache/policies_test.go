@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,19 +23,39 @@ func doAll(t *testing.T, c *Cache[string, string], keys ...string) []Outcome {
 	return outcomes
 }
 
+// TestNewWithUnknownPolicy pins where names are resolved: NewPolicy rejects
+// an unknown name with an error listing the registry, and a cache built
+// without a policy runs LRU.
 func TestNewWithUnknownPolicy(t *testing.T) {
-	if _, err := NewWith(Config[string, int]{Policy: "astrology"}); err == nil {
+	_, err := NewPolicy("astrology")
+	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
+	for _, name := range Policies() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list registered policy %q", err, name)
+		}
+	}
+	if got := NewWith(Config[string, int]{}).Policy(); got != LRU {
+		t.Fatalf("default policy = %q, want %q", got, LRU)
+	}
+}
+
+// newCache builds a cache running the named registered policy.
+func newCache(t *testing.T, policy string, cfg Config[string, string]) *Cache[string, string] {
+	t.Helper()
+	p, err := NewPolicy(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Policy = p
+	return NewWith(cfg)
 }
 
 // TestLFUVictimSelection pins the LFU contract: least frequency first,
 // least recency within a frequency tie.
 func TestLFUVictimSelection(t *testing.T) {
-	c, err := NewWith(Config[string, string]{Shards: 1, Capacity: 3, Policy: LFU})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCache(t, LFU, Config[string, string]{Capacity: 3})
 	doAll(t, c, "a", "b", "c") // freq: a=1 b=1 c=1
 	doAll(t, c, "a", "a")      // freq: a=3
 	doAll(t, c, "b")           // freq: b=2
@@ -57,13 +78,10 @@ func TestLFUVictimSelection(t *testing.T) {
 // largest-cost entry goes first, cost ties break by least recency.
 func TestSizeAwareVictimSelection(t *testing.T) {
 	costs := map[string]int64{"a": 5, "b": 10, "c": 3, "d": 7, "e": 7}
-	c, err := NewWith(Config[string, string]{
-		Shards: 1, Capacity: 3, Policy: SizeAware,
-		Cost: func(k string, _ string) int64 { return costs[k] },
+	c := newCache(t, SizeAware, Config[string, string]{
+		Capacity: 3,
+		Cost:     func(k string, _ string) int64 { return costs[k] },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	doAll(t, c, "a", "b", "c")
 	doAll(t, c, "d") // evict b (cost 10, the largest)
 	if _, ok := c.Get("b"); ok {
@@ -83,19 +101,14 @@ func TestSizeAwareVictimSelection(t *testing.T) {
 	}
 }
 
-// newBeladyCache builds a single-shard cache primed with the given future
-// access sequence (string keys are their own IDs).
-func newBeladyCache(t *testing.T, capacity int, future []string) *Cache[string, string] {
-	t.Helper()
-	c, err := NewWith(Config[string, string]{
-		Shards: 1, Capacity: capacity,
-		NewPolicy: func() EvictionPolicy { return NewBelady(future) },
-		KeyID:     func(k string) string { return k },
+// newBeladyCache builds a cache primed with the given future access
+// sequence (string keys are their own IDs).
+func newBeladyCache(capacity int, future []string) *Cache[string, string] {
+	return NewWith(Config[string, string]{
+		Capacity: capacity,
+		Policy:   NewBelady(future),
+		KeyID:    func(k string) string { return k },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }
 
 // TestBeladyPrimedBeatsLRU hand-computes a sequence where farthest-future
@@ -104,7 +117,7 @@ func newBeladyCache(t *testing.T, capacity int, future []string) *Cache[string, 
 func TestBeladyPrimedBeatsLRU(t *testing.T) {
 	seq := []string{"a", "b", "c", "b", "a", "b"}
 
-	oracle := newBeladyCache(t, 2, seq)
+	oracle := newBeladyCache(2, seq)
 	doAll(t, oracle, seq...)
 	// Belady: c is never used again and is evicted the moment it overflows
 	// capacity, keeping {a, b} resident for three straight hits.
@@ -112,7 +125,7 @@ func TestBeladyPrimedBeatsLRU(t *testing.T) {
 		t.Fatalf("belady stats = %+v, want 3 hits / 3 misses / 1 eviction", st)
 	}
 
-	lru := New[string, string](1, 2)
+	lru := NewWith(Config[string, string]{Capacity: 2})
 	doAll(t, lru, seq...)
 	// LRU evicts a for c, then c for a: only two hits.
 	if st := lru.Stats(); st.Hits != 2 || st.Misses != 4 {
@@ -124,11 +137,8 @@ func TestBeladyPrimedBeatsLRU(t *testing.T) {
 // exactly LRU: same workload, same outcome sequence, same counters.
 func TestBeladyUnprimedFallsBackToLRU(t *testing.T) {
 	seq := []string{"a", "b", "c", "a", "d", "b", "a", "c", "d", "a"}
-	fromRegistry, err := NewWith(Config[string, string]{Shards: 1, Capacity: 2, Policy: Belady})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lru := New[string, string](1, 2)
+	fromRegistry := newCache(t, Belady, Config[string, string]{Capacity: 2})
+	lru := NewWith(Config[string, string]{Capacity: 2})
 	got := doAll(t, fromRegistry, seq...)
 	want := doAll(t, lru, seq...)
 	for i := range got {
@@ -145,13 +155,10 @@ func TestBeladyUnprimedFallsBackToLRU(t *testing.T) {
 // entry costlier than the whole budget is served to its caller but not
 // retained, counted as an eviction, and leaves the books balanced.
 func TestEntryLargerThanCache(t *testing.T) {
-	c, err := NewWith(Config[string, string]{
-		Shards: 1, CostCapacity: 5,
-		Cost: func(_ string, v string) int64 { return int64(len(v)) },
+	c := NewWith(Config[string, string]{
+		CostCapacity: 5,
+		Cost:         func(_ string, v string) int64 { return int64(len(v)) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	big := "0123456789" // cost 10 > budget 5
 	v, o, err := c.Do("big", func() (string, error) { return big, nil })
 	if err != nil || v != big || o != Miss {
@@ -178,13 +185,10 @@ func TestEntryLargerThanCache(t *testing.T) {
 // TestCostBudgetEviction checks the cost budget evicts until the sum fits,
 // possibly several entries for one admission.
 func TestCostBudgetEviction(t *testing.T) {
-	c, err := NewWith(Config[string, string]{
-		Shards: 1, CostCapacity: 10,
-		Cost: func(_ string, v string) int64 { return int64(len(v)) },
+	c := NewWith(Config[string, string]{
+		CostCapacity: 10,
+		Cost:         func(_ string, v string) int64 { return int64(len(v)) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func(k string, n int) {
 		t.Helper()
 		if _, _, err := c.Do(k, func() (string, error) {
@@ -219,10 +223,7 @@ func TestCostBudgetEviction(t *testing.T) {
 func TestCapacityOne(t *testing.T) {
 	for _, policy := range Policies() {
 		t.Run(policy, func(t *testing.T) {
-			c, err := NewWith(Config[string, string]{Shards: 1, Capacity: 1, Policy: policy})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newCache(t, policy, Config[string, string]{Capacity: 1})
 			doAll(t, c, "a", "a") // miss, hit
 			doAll(t, c, "b")      // over capacity: exactly one of a/b survives
 			_, aOK := c.Get("a")
@@ -240,15 +241,12 @@ func TestCapacityOne(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvictionDuringCoalescedBuild drives evictions through a
-// shard while a coalesced build for the same shard is still in flight: the
-// waiters must receive the built value even though every other entry
-// around them was churned out.
+// TestConcurrentEvictionDuringCoalescedBuild drives evictions through the
+// cache while a coalesced build is still in flight: the waiters must
+// receive the built value even though every other entry around them was
+// churned out.
 func TestConcurrentEvictionDuringCoalescedBuild(t *testing.T) {
-	c, err := NewWith(Config[string, string]{Shards: 1, Capacity: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewWith(Config[string, string]{Capacity: 2})
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	leaderDone := make(chan error, 1)
@@ -280,8 +278,7 @@ func TestConcurrentEvictionDuringCoalescedBuild(t *testing.T) {
 		}(i)
 	}
 
-	// Concurrent churn through the same shard forces evictions while the
-	// coalesced build is open.
+	// Concurrent churn forces evictions while the coalesced build is open.
 	var churned atomic.Int64
 	var churnWg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -315,18 +312,15 @@ func TestConcurrentEvictionDuringCoalescedBuild(t *testing.T) {
 	}
 }
 
-// TestShardEvictionsSum checks the per-shard counters /metrics surfaces
-// always sum to the aggregate.
+// TestShardEvictionsSum checks that the capacity is an exact global bound:
+// 200 distinct keys through capacity 8 leave exactly 8 resident and evict
+// the other 192.
 func TestShardEvictionsSum(t *testing.T) {
-	c := New[int, int](4, 8)
+	c := NewWith(Config[int, int]{Capacity: 8})
 	for k := 0; k < 200; k++ {
 		c.Do(k, func() (int, error) { return k, nil })
 	}
-	var sum uint64
-	for _, n := range c.ShardEvictions() {
-		sum += n
-	}
-	if st := c.Stats(); sum != st.Evictions || st.Evictions == 0 {
-		t.Fatalf("shard evictions sum %d, total %d (want equal, nonzero)", sum, st.Evictions)
+	if n, st := c.Len(), c.Stats(); n != 8 || st.Evictions != 192 {
+		t.Fatalf("Len() = %d, evictions = %d; want 8 and 192", n, st.Evictions)
 	}
 }

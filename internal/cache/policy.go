@@ -11,9 +11,9 @@ import (
 // to keys and values, so policies stay non-generic and registrable by name.
 type Handle uint64
 
-// EvictionPolicy orders one cache shard's resident entries for eviction.
-// The cache drives it strictly under the shard lock, so implementations
-// need no synchronization of their own.
+// EvictionPolicy orders one cache's resident entries for eviction. The
+// cache drives it strictly under its lock, so implementations need no
+// synchronization of their own.
 //
 // The cache upholds the residency contract on the policy's behalf: only
 // completed, error-free entries are ever admitted (an in-flight build is
@@ -45,8 +45,8 @@ type EvictionPolicy interface {
 	Remove(h Handle)
 }
 
-// PolicyFactory constructs one policy instance. A sharded cache calls the
-// factory once per shard, so instances never share state.
+// PolicyFactory constructs one policy instance. NewPolicy calls it once
+// per cache, so instances never share state.
 type PolicyFactory func() EvictionPolicy
 
 // Canonical eviction-policy names (see docs/cache-policies.md).

@@ -56,17 +56,26 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return enc.Encode(jg)
 }
 
-// ReadJSON deserializes a graph written by WriteJSON and validates it.
+// ReadJSON deserializes a graph written by WriteJSON and validates it. It
+// rejects data after the graph object and negative bytes or FLOPs, which
+// would simulate to negative durations.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	var jg jsonGraph
-	if err := json.NewDecoder(r).Decode(&jg); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&jg); err != nil {
 		return nil, fmt.Errorf("graph: decode: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("graph: trailing data after graph")
 	}
 	g := New()
 	for _, jo := range jg.Ops {
 		kind, ok := kindByName[jo.Kind]
 		if !ok {
 			return nil, fmt.Errorf("graph: unknown op kind %q", jo.Kind)
+		}
+		if jo.Bytes < 0 || jo.FLOPs < 0 {
+			return nil, fmt.Errorf("graph: op %q has negative bytes or flops", jo.Name)
 		}
 		op, err := g.AddOp(jo.Name, kind)
 		if err != nil {

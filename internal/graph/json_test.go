@@ -55,6 +55,12 @@ func TestReadJSONRejectsCorruption(t *testing.T) {
 		  "edges":[["a","b"],["b","a"]]}`,
 		// Missing device (fails Validate).
 		`{"ops":[{"name":"a","kind":"compute","resource":"r"}],"edges":[]}`,
+		// Negative costs would simulate to a negative makespan.
+		`{"ops":[{"name":"a","kind":"compute","device":"d","resource":"r","flops":-5000000000000}],"edges":[]}`,
+		`{"ops":[{"name":"a","kind":"recv","device":"d","resource":"r","bytes":-1}],"edges":[]}`,
+		// Trailing data after the graph object.
+		`{"ops":[{"name":"a","kind":"compute","device":"d","resource":"r"}],"edges":[]} trailing garbage`,
+		`{"ops":[],"edges":[]} {}`,
 	}
 	for i, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c)); err == nil {

@@ -124,7 +124,7 @@ type Report struct {
 	Timescale    float64  `json:"timescale"`
 
 	Curves []Curve `json:"curves"`
-	// Offline replays the trace through single-shard caches under every
+	// Offline replays the trace through bare caches under every
 	// policy plus the primed Belady oracle, whose hit count bounds every
 	// online policy at every capacity.
 	Offline []trace.ReplayRow `json:"offline"`

@@ -348,6 +348,45 @@ func TestRunReplayInProcess(t *testing.T) {
 	}
 }
 
+// TestSequentialReplayIsReproducible replays one trace twice, one request
+// at a time, through self-hosted servers. A cache's decisions depend only
+// on the request sequence, so both runs report the same server counters on
+// every curve, and those equal the offline replay of the trace through a
+// bare cache of the same policy and capacity.
+func TestSequentialReplayIsReproducible(t *testing.T) {
+	w, err := trace.ReadWorkloadFile("../trace/testdata/zipf.trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Trace: w, Concurrency: 1, Policies: []string{cache.LRU}, CacheSizes: []int{8, 16}}
+	first, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Curves) != 2 || len(second.Curves) != 2 {
+		t.Fatalf("curves = %d and %d, want 2 each", len(first.Curves), len(second.Curves))
+	}
+	for i, a := range first.Curves {
+		b := second.Curves[i]
+		if a.Server.Hits != b.Server.Hits || a.Server.Misses != b.Server.Misses || a.Server.Evictions != b.Server.Evictions {
+			t.Errorf("lru/cap=%d: run 1 %+v, run 2 %+v; want equal hits, misses and evictions", a.Capacity, a.Server, b.Server)
+		}
+		if a.Server.Evictions == 0 {
+			t.Errorf("lru/cap=%d evicted nothing (%+v); the comparison is vacuous", a.Capacity, a.Server)
+		}
+		for _, row := range first.Offline {
+			if row.Policy == cache.LRU && row.Capacity == a.Capacity &&
+				(row.Hits != a.Server.Hits || row.Misses != a.Server.Misses || row.Evictions != a.Server.Evictions) {
+				t.Errorf("lru/cap=%d: server %+v, offline %+v; want equal hits, misses and evictions", a.Capacity, a.Server, row)
+			}
+		}
+	}
+}
+
 // TestRunReplayAgainstFixedTarget measures one curve against an existing
 // server instead of sweeping the grid.
 func TestRunReplayAgainstFixedTarget(t *testing.T) {

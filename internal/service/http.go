@@ -350,23 +350,19 @@ type CacheCounters struct {
 	Errors    uint64  `json:"errors"`
 	Resident  int     `json:"resident"`
 	HitRate   float64 `json:"hit_rate"`
-	// EvictionsPerShard breaks Evictions down by cache shard; its entries
-	// always sum to Evictions.
-	EvictionsPerShard []uint64 `json:"evictions_per_shard"`
 }
 
 func counters[K comparable, V any](c *cache.Cache[K, V]) CacheCounters {
 	st := c.Stats()
 	return CacheCounters{
-		Policy:            c.Policy(),
-		Hits:              st.Hits,
-		Misses:            st.Misses,
-		Coalesced:         st.Coalesced,
-		Evictions:         st.Evictions,
-		Errors:            st.Errors,
-		Resident:          c.Len(),
-		HitRate:           st.HitRate(),
-		EvictionsPerShard: c.ShardEvictions(),
+		Policy:    c.Policy(),
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Coalesced: st.Coalesced,
+		Evictions: st.Evictions,
+		Errors:    st.Errors,
+		Resident:  c.Len(),
+		HitRate:   st.HitRate(),
 	}
 }
 

@@ -16,7 +16,7 @@
 // error is a structured JSON envelope {"error":{"code","message"}} with a
 // stable code (see errors.go).
 //
-// Two content-addressed caches (internal/cache: sharded LRU + singleflight)
+// Two content-addressed caches (internal/cache: LRU + singleflight)
 // sit under the handlers. Clusters are cached by (graph shape, platform
 // digest, membership digest); schedules by (graph digest, platform digest,
 // membership digest, policy, warmup, seed) — the digest keying means two
@@ -63,8 +63,6 @@ type Options struct {
 	// no-error signature predates pluggable policies and every caller
 	// already resolves options up front.
 	CachePolicy string
-	// Shards is the cache shard count. <= 0 selects DefaultShards.
-	Shards int
 	// LatencyWindow is the per-endpoint latency sample window for /metrics
 	// percentiles. <= 0 selects stats.DefaultLatencyWindow.
 	LatencyWindow int
@@ -88,12 +86,10 @@ type Options struct {
 	FleetClient *http.Client
 }
 
-// Default cache geometry: capacities sized for the Table 1 catalog times a
-// policy sweep with room to spare, sharded to keep lock contention off the
-// hot path.
 const (
+	// DefaultCacheCapacity sizes each cache for the Table 1 catalog times a
+	// policy sweep, with room to spare.
 	DefaultCacheCapacity = 256
-	DefaultShards        = 8
 	// DefaultMaxBatch is the default /v1/batch variant cap (-max-batch).
 	DefaultMaxBatch = 1024
 )
@@ -173,39 +169,26 @@ func New(opts Options) *Service {
 	if opts.CacheCapacity <= 0 {
 		opts.CacheCapacity = DefaultCacheCapacity
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}
 	if opts.CachePolicy == "" {
 		opts.CachePolicy = cache.LRU
 	}
-	clusters, err := cache.NewWith(cache.Config[clusterKey, *clusterEntry]{
-		Shards:   opts.Shards,
-		Capacity: opts.CacheCapacity,
-		Policy:   opts.CachePolicy,
-	})
-	if err != nil {
-		panic("service: " + err.Error())
-	}
-	schedules, err := cache.NewWith(cache.Config[scheduleKey, *scheduleEntry]{
-		Shards:   opts.Shards,
-		Capacity: opts.CacheCapacity,
-		Policy:   opts.CachePolicy,
-		// The policy-visible cost of a schedule entry is its canonical
-		// response payload size — what a size-aware policy ranks victims by.
-		Cost: func(_ scheduleKey, e *scheduleEntry) int64 { return int64(len(e.payload)) },
-	})
-	if err != nil {
-		panic("service: " + err.Error())
-	}
 	s := &Service{
-		opts:      opts,
-		start:     time.Now(),
-		clusters:  clusters,
-		schedules: schedules,
+		opts:  opts,
+		start: time.Now(),
+		clusters: cache.NewWith(cache.Config[clusterKey, *clusterEntry]{
+			Capacity: opts.CacheCapacity,
+			Policy:   evictionPolicy(opts.CachePolicy),
+		}),
+		schedules: cache.NewWith(cache.Config[scheduleKey, *scheduleEntry]{
+			Capacity: opts.CacheCapacity,
+			Policy:   evictionPolicy(opts.CachePolicy),
+			// The policy-visible cost of a schedule entry is its canonical
+			// response payload size — what a size-aware policy ranks victims by.
+			Cost: func(_ scheduleKey, e *scheduleEntry) int64 { return int64(len(e.payload)) },
+		}),
 		endpoints: make(map[string]*endpointMetrics),
 	}
 	for _, name := range []string{"schedule", "simulate", "batch", "policies", "healthz", "metrics"} {
@@ -223,6 +206,16 @@ func New(opts Options) *Service {
 		}
 	}
 	return s
+}
+
+// evictionPolicy returns a fresh instance of the named eviction policy for
+// one cache. It panics on an unknown name (see Options.CachePolicy).
+func evictionPolicy(name string) cache.EvictionPolicy {
+	p, err := cache.NewPolicy(name)
+	if err != nil {
+		panic("service: " + err.Error())
+	}
+	return p
 }
 
 // ScheduleRequest is the body of POST /v1/schedule and (by alias) of

@@ -384,10 +384,10 @@ func TestPoliciesHealthzMetrics(t *testing.T) {
 
 // TestMetricsEvictionCounters drives a tiny-capacity server past its
 // schedule-cache budget and checks /metrics surfaces the eviction story:
-// the active policy by name, a nonzero eviction total, and per-shard
-// counts that sum to it.
+// the active policy by name and exact counts, since the capacity is one
+// global bound.
 func TestMetricsEvictionCounters(t *testing.T) {
-	_, ts := newTestServer(t, Options{CacheCapacity: 2, Shards: 2})
+	_, ts := newTestServer(t, Options{CacheCapacity: 2})
 	for _, policy := range []string{"tic", "critical-path", "fifo", "random"} {
 		for seed := int64(1); seed <= 2; seed++ {
 			resp, payload := post(t, ts.URL+"/v1/schedule",
@@ -409,21 +409,12 @@ func TestMetricsEvictionCounters(t *testing.T) {
 	if sch.Policy != "lru" {
 		t.Errorf("schedules cache policy = %q, want lru (the default)", sch.Policy)
 	}
-	if sch.Evictions == 0 {
-		t.Fatalf("8 distinct schedules through capacity 2 evicted nothing: %+v", sch)
+	if sch.Resident != 2 || sch.Evictions != 6 {
+		t.Fatalf("8 distinct schedules through capacity 2: resident %d, evictions %d; want 2 and 6 (%+v)",
+			sch.Resident, sch.Evictions, sch)
 	}
-	if len(sch.EvictionsPerShard) != 2 {
-		t.Fatalf("evictions_per_shard has %d entries, want one per shard (2): %v", len(sch.EvictionsPerShard), sch.EvictionsPerShard)
-	}
-	var sum uint64
-	for _, n := range sch.EvictionsPerShard {
-		sum += n
-	}
-	if sum != sch.Evictions {
-		t.Errorf("per-shard evictions sum to %d, total says %d", sum, sch.Evictions)
-	}
-	if m.Cache.Clusters.Policy != "lru" || len(m.Cache.Clusters.EvictionsPerShard) != 2 {
-		t.Errorf("clusters cache counters missing policy/shard breakdown: %+v", m.Cache.Clusters)
+	if m.Cache.Clusters.Policy != "lru" {
+		t.Errorf("clusters cache counters missing policy: %+v", m.Cache.Clusters)
 	}
 }
 

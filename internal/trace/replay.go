@@ -24,14 +24,14 @@ type ReplayRow struct {
 // internal/cache instance under the named eviction policy and an
 // entry-count capacity, returning hit/miss/eviction counts.
 //
-// The replay is single-sharded and sequential, so policy decisions are a
-// pure function of (trace, policy, capacity) — and the one access stream
-// every policy sees is identical. Capacity counts entries (every entry
-// costs one budget unit); the trace's per-key Cost is still surfaced to
-// the policy, which is how size-aware eviction stays differentiated. The
-// "belady" policy is primed with the trace's full key sequence, making it
-// the offline optimum the online policies are measured against: for any
-// trace and capacity its hit rate is an upper bound.
+// The replay is sequential, so policy decisions are a pure function of
+// (trace, policy, capacity) — and the one access stream every policy sees
+// is identical. Capacity counts entries (every entry costs one budget
+// unit); the trace's per-key Cost is still surfaced to the policy, which
+// is how size-aware eviction stays differentiated. The "belady" policy is
+// primed with the trace's full key sequence, making it the offline optimum
+// the online policies are measured against: for any trace and capacity
+// its hit rate is an upper bound.
 func ReplayCache(w *Workload, policy string, capacity int) (ReplayRow, error) {
 	row := ReplayRow{Policy: policy, Capacity: capacity}
 	if w == nil {
@@ -47,25 +47,22 @@ func ReplayCache(w *Workload, policy string, capacity int) (ReplayRow, error) {
 	row.Events = len(w.Events)
 	row.DistinctKeys = w.DistinctKeys()
 
-	costs := w.Costs()
-	cfg := cache.Config[string, string]{
-		Shards:   1,
-		Capacity: capacity,
-		Policy:   policy,
-		KeyID:    func(k string) string { return k },
-		Cost:     func(k string, _ string) int64 { return costs[k] },
+	p, err := cache.NewPolicy(policy)
+	if err != nil {
+		return row, err
 	}
 	if policy == cache.Belady {
 		// The oracle needs the future: prime it with the full access
 		// sequence instead of taking the registry's unprimed instance.
-		future := w.Keys()
-		cfg.Policy = ""
-		cfg.NewPolicy = func() cache.EvictionPolicy { return cache.NewBelady(future) }
+		p = cache.NewBelady(w.Keys())
 	}
-	c, err := cache.NewWith(cfg)
-	if err != nil {
-		return row, err
-	}
+	costs := w.Costs()
+	c := cache.NewWith(cache.Config[string, string]{
+		Capacity: capacity,
+		Policy:   p,
+		KeyID:    func(k string) string { return k },
+		Cost:     func(k string, _ string) int64 { return costs[k] },
+	})
 	for _, e := range w.Events {
 		k := e.Key()
 		if _, _, err := c.Do(k, func() (string, error) { return k, nil }); err != nil {
