@@ -71,16 +71,58 @@ func (c Config) iterations() int {
 	return c.Iterations
 }
 
-func (c Config) batch() int {
+// MaxBatch caps the effective batch, Model.Batch × BatchFactor, that Build
+// accepts. At 2^20 samples even VGG-19's backward pass is about 8e16
+// FLOPs per worker, far inside the int64 FLOPs of a graph op.
+const MaxBatch = 1 << 20
+
+// batchSamples is Model.Batch × BatchFactor before rounding.
+func (c Config) batchSamples() float64 {
 	f := c.BatchFactor
 	if f == 0 {
 		f = 1
 	}
-	b := int(float64(c.Model.Batch) * f)
-	if b < 1 {
-		b = 1
+	return float64(c.Model.Batch) * f
+}
+
+// Batch returns the effective per-worker batch: Model.Batch scaled by
+// BatchFactor, rounded down, and at least 1. ValidateBatch must pass
+// first; above MaxBatch the rounding is meaningless.
+func (c Config) Batch() int {
+	return max(int(c.batchSamples()), 1)
+}
+
+// ValidateBatch rejects an effective batch above MaxBatch. Build calls
+// it; the service layer also calls it directly so an oversized batch
+// surfaces as a client error before any build work.
+func (c Config) ValidateBatch() error {
+	if b := c.batchSamples(); !(b <= MaxBatch) {
+		return fmt.Errorf("cluster: effective batch %g (batch %d × factor %g) is above the cap of %d",
+			b, c.Model.Batch, c.BatchFactor, MaxBatch)
 	}
-	return b
+	return nil
+}
+
+// Ops returns the exact op count of the graph Build produces: the
+// parameter variables once, then per iteration a read per parameter, every
+// worker's replica and, when training, an aggregate and an update per
+// parameter.
+func (c Config) Ops() int {
+	p := c.Model.Params
+	perIter := p + c.Workers*c.Model.Ops(c.Mode)
+	if c.Mode == model.Training {
+		perIter += 2 * p
+	}
+	return p + c.iterations()*perIter
+}
+
+// channel returns the serialized channel that carries worker w's transfers
+// to and from PS j.
+func (c Config) channel(w, j int) string {
+	if c.SharedPSNIC {
+		return PSDevice(j) + "/net"
+	}
+	return ChannelResource(w, j)
 }
 
 // ValidateOverrides checks every PlatformMap override key against the
@@ -126,17 +168,13 @@ func (c Config) knownDevice(dev string) bool {
 }
 
 func (c Config) knownChannel(res string) bool {
+	workers := c.Workers
 	if c.SharedPSNIC {
-		for j := 0; j < c.PS; j++ {
-			if res == PSDevice(j)+"/net" {
-				return true
-			}
-		}
-		return false
+		workers = 1 // every worker shares PS j's one channel
 	}
-	for w := 0; w < c.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		for j := 0; j < c.PS; j++ {
-			if res == ChannelResource(w, j) {
+			if res == c.channel(w, j) {
 				return true
 			}
 		}
@@ -247,12 +285,21 @@ func (c Config) normalizePlatforms() (Config, error) {
 }
 
 // Build constructs the cluster graph for the given configuration.
+//
+// Every replica is the same worker DAG (§4), so Build builds it once, for
+// worker 0, and stamps each replica from that template by op ID. A replica
+// differs from the template only in its name prefix, its device tag and
+// its compute and channel resources; its ops, payloads and edges, in
+// template order, are the template's.
 func Build(cfg Config) (*Cluster, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("cluster: need >= 1 worker, got %d", cfg.Workers)
 	}
 	if cfg.PS < 1 {
 		return nil, fmt.Errorf("cluster: need >= 1 PS, got %d", cfg.PS)
+	}
+	if err := cfg.ValidateBatch(); err != nil {
+		return nil, err
 	}
 	cfg, err := cfg.normalizePlatforms()
 	if err != nil {
@@ -262,7 +309,17 @@ func Build(cfg Config) (*Cluster, error) {
 	shard := shardParams(params, cfg.PS)
 	iters := cfg.iterations()
 
-	full := graph.New()
+	tmpl, err := model.BuildWorker(cfg.Model, cfg.Mode, cfg.Batch(), WorkerDevice(0),
+		func(param string) string { return cfg.channel(0, shard[param]) })
+	if err != nil {
+		return nil, err
+	}
+	st, err := newStamp(cfg, tmpl)
+	if err != nil {
+		return nil, err
+	}
+
+	full := graph.NewSized(cfg.Ops())
 
 	// Parameter variables exist once; per-iteration serving and update ops
 	// hang off them.
@@ -282,6 +339,9 @@ func Build(cfg Config) (*Cluster, error) {
 	}
 	// prevWorkerDone[w] gates an inference agent's next pull round.
 	prevWorkerDone := make([][]*graph.Op, cfg.Workers)
+	// base[w] is the ID of the current iteration's first op of worker w.
+	base := make([]int, cfg.Workers)
+	ref := new(refHolder)
 
 	for it := 0; it < iters; it++ {
 		ipfx := ""
@@ -302,24 +362,14 @@ func Build(cfg Config) (*Cluster, error) {
 
 		// Worker replicas.
 		for w := 0; w < cfg.Workers; w++ {
-			dev := WorkerDevice(w)
-			chanFor := func(param string) string {
-				if cfg.SharedPSNIC {
-					return PSDevice(shard[param]) + "/net"
-				}
-				return ChannelResource(w, shard[param])
-			}
-			wg, err := model.BuildWorker(cfg.Model, cfg.Mode, cfg.batch(), dev, chanFor)
-			if err != nil {
+			base[w] = full.Len()
+			if err := st.stampInto(full, w, fmt.Sprintf("%sw%d/", ipfx, w)); err != nil {
 				return nil, err
 			}
-			prefix := fmt.Sprintf("%sw%d/", ipfx, w)
-			if err := copyInto(full, wg, prefix); err != nil {
-				return nil, err
-			}
-			for _, op := range wg.OpsOfKind(graph.Recv) {
-				recv := full.Op(prefix + op.Name)
-				full.MustConnect(reads[op.Param], recv)
+			ops := full.Ops()
+			for _, id := range st.recvs {
+				recv := ops[base[w]+id]
+				full.MustConnect(reads[recv.Param], recv)
 				// Inference agents issue the next pull round only after
 				// finishing the previous forward pass.
 				for _, done := range prevWorkerDone[w] {
@@ -327,12 +377,15 @@ func Build(cfg Config) (*Cluster, error) {
 				}
 			}
 			if cfg.Mode == model.Inference {
-				var leaves []*graph.Op
-				for _, op := range wg.Leaves() {
-					leaves = append(leaves, full.Op(prefix+op.Name))
+				leaves := make([]*graph.Op, len(st.leaves))
+				for i, id := range st.leaves {
+					leaves[i] = ops[base[w]+id]
 				}
 				prevWorkerDone[w] = leaves
 			}
+		}
+		if it == 0 {
+			ref.lo, ref.hi = base[0], base[0]+tmpl.Len()
 		}
 
 		// PS-side aggregation for training: every worker's gradient send
@@ -346,12 +399,13 @@ func Build(cfg Config) (*Cluster, error) {
 				upd := full.MustAddOp(dev+"/"+ipfx+"update/"+p.Name, graph.Update)
 				upd.Device, upd.Resource, upd.Param, upd.Bytes = dev, dev+"/compute", p.Name, p.Bytes
 				full.MustConnect(agg, upd)
+				id, ok := st.sends[p.Name]
+				if !ok {
+					return nil, fmt.Errorf("cluster: missing send op for %s", p.Name)
+				}
+				ops := full.Ops()
 				for w := 0; w < cfg.Workers; w++ {
-					send := full.Op(fmt.Sprintf("%sw%d/send/grad/%s", ipfx, w, p.Name))
-					if send == nil {
-						return nil, fmt.Errorf("cluster: missing send op for %s on worker %d", p.Name, w)
-					}
-					full.MustConnect(send, agg)
+					full.MustConnect(ops[base[w]+id], agg)
 				}
 				prevUpdate[p.Name] = upd
 			}
@@ -361,7 +415,97 @@ func Build(cfg Config) (*Cluster, error) {
 	if err := full.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, ref: new(refHolder)}, nil
+	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, ref: ref}, nil
+}
+
+// stamp is a worker template plus the per-worker tags a replica of it
+// takes: the template op IDs Build wires to the PS side, and a small
+// resource table in place of per-worker channel lookups.
+type stamp struct {
+	tmpl *graph.Graph
+	// slot[id] indexes a replica's resource table for template op id: 0
+	// is the worker's compute unit, 1+j its channel to PS j.
+	slot []int
+	// devices[w] and resources[w] are worker w's device tag and resource
+	// table.
+	devices   []string
+	resources [][]string
+	// recvs and leaves are the template's recv ops and leaves, in ID
+	// order; sends maps a parameter to its gradient send.
+	recvs, leaves []int
+	sends         map[string]int
+}
+
+// newStamp indexes the template, worker 0's DAG, for stamping cfg.Workers
+// replicas.
+func newStamp(cfg Config, tmpl *graph.Graph) (*stamp, error) {
+	st := &stamp{
+		tmpl:      tmpl,
+		slot:      make([]int, tmpl.Len()),
+		devices:   make([]string, cfg.Workers),
+		resources: make([][]string, cfg.Workers),
+		sends:     make(map[string]int, cfg.Model.Params),
+	}
+	for w := range st.devices {
+		st.devices[w] = WorkerDevice(w)
+		res := make([]string, 1+cfg.PS)
+		res[0] = st.devices[w] + "/compute"
+		for j := 0; j < cfg.PS; j++ {
+			res[1+j] = cfg.channel(w, j)
+		}
+		st.resources[w] = res
+	}
+	slotOf := make(map[string]int, len(st.resources[0]))
+	for i, res := range st.resources[0] {
+		slotOf[res] = i
+	}
+	for _, op := range tmpl.Ops() {
+		i, ok := slotOf[op.Resource]
+		if !ok || op.Device != st.devices[0] {
+			return nil, fmt.Errorf("cluster: worker template op %q is on %s/%s, not a worker 0 resource",
+				op.Name, op.Device, op.Resource)
+		}
+		st.slot[op.ID] = i
+		switch op.Kind {
+		case graph.Recv:
+			st.recvs = append(st.recvs, op.ID)
+		case graph.Send:
+			st.sends[op.Param] = op.ID
+		}
+		if op.IsLeaf() {
+			st.leaves = append(st.leaves, op.ID)
+		}
+	}
+	return st, nil
+}
+
+// stampInto appends worker w's replica of the template to g with every op
+// name prefixed: template op i becomes op base+i, where base is g.Len()
+// on entry, and its edges are the template's, in template Out order. Param
+// tags stay un-prefixed so schedules keyed by parameter apply across
+// replicas.
+func (st *stamp) stampInto(g *graph.Graph, w int, prefix string) error {
+	base := g.Len()
+	dev, res := st.devices[w], st.resources[w]
+	tops := st.tmpl.Ops()
+	for _, op := range tops {
+		c, err := g.AddOp(prefix+op.Name, op.Kind)
+		if err != nil {
+			return err
+		}
+		c.Device, c.Resource = dev, res[st.slot[op.ID]]
+		c.Bytes, c.FLOPs, c.Param = op.Bytes, op.FLOPs, op.Param
+	}
+	ops := g.Ops()
+	for _, op := range tops {
+		from := ops[base+op.ID]
+		for _, succ := range op.Out() {
+			if err := g.Connect(from, ops[base+succ.ID]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // WithPlatforms returns a cluster identical to c except for its cost model:
@@ -392,29 +536,6 @@ func (c *Cluster) WithPlatforms(platform timing.Platform, platforms *timing.Plat
 		nc.viewOnce.Do(func() { nc.view = v })
 	}
 	return nc, nil
-}
-
-// copyInto copies src's ops and edges into dst with every op name prefixed.
-// Param tags are preserved un-prefixed so schedules keyed by parameter apply
-// across replicas.
-func copyInto(dst, src *graph.Graph, prefix string) error {
-	for _, op := range src.Ops() {
-		c, err := dst.AddOp(prefix+op.Name, op.Kind)
-		if err != nil {
-			return err
-		}
-		c.Device, c.Resource = op.Device, op.Resource
-		c.Bytes, c.FLOPs, c.Param = op.Bytes, op.FLOPs, op.Param
-	}
-	for _, op := range src.Ops() {
-		from := dst.Op(prefix + op.Name)
-		for _, succ := range op.Out() {
-			if err := dst.Connect(from, dst.Op(prefix+succ.Name)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // shardParams assigns parameters to PS devices with greedy largest-first
@@ -469,6 +590,11 @@ func (c *Cluster) refPrefix() string {
 // caller still uses one, every call returns it; once a GC has collected
 // it, the next call builds it again.
 type refHolder struct {
+	// lo and hi bound the op IDs of worker 0's first-iteration replica in
+	// the cluster graph. Build sets them before the holder is shared, and
+	// they never change after.
+	lo, hi int
+
 	mu sync.Mutex
 	//tictac:guardedby mu
 	g weak.Pointer[graph.Graph]
@@ -499,40 +625,25 @@ func (c *Cluster) ReferenceWorker() *graph.Graph {
 }
 
 // buildReferenceWorker copies the reference partition out of the full
-// graph.
+// graph: the op ID range Build recorded, names un-prefixed, with the edges
+// that stay inside it.
 func (c *Cluster) buildReferenceWorker() *graph.Graph {
-	prefix := c.refPrefix()
-	device := WorkerDevice(0)
-	out := graph.New()
-	strip := func(name string) (string, bool) {
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-			return name[len(prefix):], true
-		}
-		return "", false
+	lo, hi := c.ref.lo, c.ref.hi
+	n := len(c.refPrefix())
+	src := c.Graph.Ops()[lo:hi]
+	out := graph.NewSized(len(src))
+	for _, op := range src {
+		r := out.MustAddOp(op.Name[n:], op.Kind)
+		r.Device, r.Resource = op.Device, op.Resource
+		r.Bytes, r.FLOPs, r.Param = op.Bytes, op.FLOPs, op.Param
 	}
-	for _, op := range c.Graph.Ops() {
-		if op.Device != device {
-			continue
-		}
-		name, ok := strip(op.Name)
-		if !ok {
-			continue
-		}
-		n := out.MustAddOp(name, op.Kind)
-		n.Device, n.Resource = op.Device, op.Resource
-		n.Bytes, n.FLOPs, n.Param = op.Bytes, op.FLOPs, op.Param
-	}
-	for _, op := range c.Graph.Ops() {
-		from, ok := strip(op.Name)
-		if !ok || op.Device != device {
-			continue
-		}
+	ops := out.Ops()
+	for _, op := range src {
+		from := ops[op.ID-lo]
 		for _, succ := range op.Out() {
-			to, ok := strip(succ.Name)
-			if !ok || succ.Device != device {
-				continue
+			if succ.ID >= lo && succ.ID < hi {
+				out.MustConnect(from, ops[succ.ID-lo])
 			}
-			out.MustConnect(out.Op(from), out.Op(to))
 		}
 	}
 	return out

@@ -272,15 +272,15 @@ func TestRunRejectsEmptyExperiment(t *testing.T) {
 func TestBatchFactor(t *testing.T) {
 	cfg := smallConfig(1, 1, model.Training)
 	cfg.BatchFactor = 0.5
-	if got := cfg.batch(); got != cfg.Model.Batch/2 {
+	if got := cfg.Batch(); got != cfg.Model.Batch/2 {
 		t.Fatalf("batch = %d", got)
 	}
 	cfg.BatchFactor = 0
-	if got := cfg.batch(); got != cfg.Model.Batch {
+	if got := cfg.Batch(); got != cfg.Model.Batch {
 		t.Fatalf("default batch = %d", got)
 	}
 	cfg.BatchFactor = 0.0001
-	if got := cfg.batch(); got != 1 {
+	if got := cfg.Batch(); got != 1 {
 		t.Fatalf("tiny batch = %d", got)
 	}
 }

@@ -385,7 +385,7 @@ func (c *Cluster) Run(exp Experiment, opts RunOptions) (*Outcome, error) {
 	throughputs := make([]float64, 0, exp.Measure)
 	effs := make([]float64, 0, exp.Measure)
 	orders := make([][]string, 0, exp.Measure)
-	batch := c.Config.batch()
+	batch := c.Config.Batch()
 	var f factors
 	// Warmup iterations are counted, not simulated (see Experiment.Warmup).
 	for i := exp.Warmup; i < exp.Warmup+exp.Measure; i++ {

@@ -1,0 +1,7 @@
+//go:build !race
+
+package cluster
+
+// raceEnabled reports whether the race detector is on, which slows graph
+// construction about tenfold.
+const raceEnabled = false

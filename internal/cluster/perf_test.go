@@ -422,7 +422,7 @@ func TestRunParityWithFrozenSim(t *testing.T) {
 			it := refIteration(t, sc.c, opts, tl)
 			want.Iterations = append(want.Iterations, *it)
 			makespans = append(makespans, it.Makespan)
-			throughputs = append(throughputs, it.Throughput(sc.c.Config.batch(), it.ActiveWorkers))
+			throughputs = append(throughputs, it.Throughput(sc.c.Config.Batch(), it.ActiveWorkers))
 			if it.Efficiency >= 0 {
 				effs = append(effs, it.Efficiency)
 				want.MinEfficiency = math.Min(want.MinEfficiency, it.Efficiency)
@@ -624,5 +624,52 @@ func BenchmarkComputeSchedule(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// Sinks that keep BenchmarkClusterBuild's results alive.
+var (
+	heldCluster *Cluster
+	heldDigest  string
+	heldGraph   *graph.Graph
+)
+
+// BenchmarkClusterBuild times the per-graph work of a cluster-cache miss
+// at 4 workers × 2 PS, training. build is Build; digest is
+// core.GraphDigest of the built graph, which the service keys schedules
+// by; refworker is one copy of the reference worker out of the graph,
+// which ReferenceWorker pays on its first call and again after a GC has
+// collected the held one.
+func BenchmarkClusterBuild(b *testing.B) {
+	for _, name := range []string{"AlexNet v2", "ResNet-101 v2"} {
+		spec, ok := model.ByName(name)
+		if !ok {
+			b.Fatalf("model %q missing from catalog", name)
+		}
+		cfg := Config{Model: spec, Mode: model.Training, Workers: 4, PS: 2, Platform: timing.EnvG()}
+		c, err := Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if heldCluster, err = Build(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/digest", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				heldDigest = core.GraphDigest(c.Graph)
+			}
+		})
+		b.Run(name+"/refworker", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				heldGraph = c.buildReferenceWorker()
+			}
+		})
 	}
 }

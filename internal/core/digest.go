@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"tictac/internal/graph"
 	"tictac/internal/timing"
@@ -26,28 +28,40 @@ import (
 // GraphDigest returns a hex SHA-256 digest of the graph's semantic content.
 // Two graphs built in different insertion orders but describing the same
 // named ops, attributes and edges digest identically.
+//
+// Each op's fields and sorted successor names are encoded into one reused
+// buffer, which reaches the hash in large writes: the byte stream is the
+// same as writing every field separately.
 func GraphDigest(g *graph.Graph) string {
 	h := sha256.New()
-	ops := append([]*graph.Op(nil), g.Ops()...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Name < ops[j].Name })
+	ops := slices.Clone(g.Ops())
+	slices.SortFunc(ops, func(a, b *graph.Op) int { return strings.Compare(a.Name, b.Name) })
+	const flushAt = 32 << 10
+	buf := make([]byte, 0, 2*flushAt)
+	var succs []string
 	for _, op := range ops {
-		writeString(h, op.Name)
-		writeByte(h, byte(op.Kind))
-		writeString(h, op.Device)
-		writeString(h, op.Resource)
-		writeInt64(h, op.Bytes)
-		writeInt64(h, op.FLOPs)
-		writeString(h, op.Param)
-		succs := make([]string, 0, len(op.Out()))
+		buf = appendString(buf, op.Name)
+		buf = append(buf, byte(op.Kind))
+		buf = appendString(buf, op.Device)
+		buf = appendString(buf, op.Resource)
+		buf = appendInt64(buf, op.Bytes)
+		buf = appendInt64(buf, op.FLOPs)
+		buf = appendString(buf, op.Param)
+		succs = succs[:0]
 		for _, s := range op.Out() {
 			succs = append(succs, s.Name)
 		}
-		sort.Strings(succs)
-		writeInt64(h, int64(len(succs)))
+		slices.Sort(succs)
+		buf = appendInt64(buf, int64(len(succs)))
 		for _, s := range succs {
-			writeString(h, s)
+			buf = appendString(buf, s)
+		}
+		if len(buf) >= flushAt {
+			h.Write(buf)
+			buf = buf[:0]
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -132,18 +146,20 @@ func writeString(h hash.Hash, s string) {
 	h.Write([]byte(s))
 }
 
-func writeByte(h hash.Hash, b byte) {
-	h.Write([]byte{b})
-}
-
 func writeInt64(h hash.Hash, v int64) {
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+	h.Write(appendInt64(buf[:0], v))
 }
 
 func writeFloat(h hash.Hash, f float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	h.Write(buf[:])
+	writeInt64(h, int64(math.Float64bits(f)))
+}
+
+// appendString appends s length-prefixed, the encoding writeString hashes.
+func appendString(buf []byte, s string) []byte {
+	return append(appendInt64(buf, int64(len(s))), s...)
+}
+
+func appendInt64(buf []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, uint64(v))
 }

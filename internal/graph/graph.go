@@ -26,6 +26,12 @@ func New() *Graph {
 	return &Graph{byName: make(map[string]*Op)}
 }
 
+// NewSized returns an empty graph with room for n ops, for callers that
+// know their op count up front.
+func NewSized(n int) *Graph {
+	return &Graph{ops: make([]*Op, 0, n), byName: make(map[string]*Op, n)}
+}
+
 // AddOp creates an op with the given unique name and kind and returns it.
 // It returns an error if the name is empty or already present.
 func (g *Graph) AddOp(name string, kind Kind) (*Op, error) {
@@ -60,7 +66,7 @@ func (g *Graph) Connect(from, to *Op) error {
 	if from == to {
 		return fmt.Errorf("graph: self edge on %q", from.Name)
 	}
-	if g.byName[from.Name] != from || g.byName[to.Name] != to {
+	if !g.owns(from) || !g.owns(to) {
 		return fmt.Errorf("graph: connect %q->%q: op not in graph", from.Name, to.Name)
 	}
 	for _, o := range from.out {
@@ -72,6 +78,13 @@ func (g *Graph) Connect(from, to *Op) error {
 	to.in = append(to.in, from)
 	g.edges++
 	return nil
+}
+
+// owns reports whether op is this graph's op: the one AddOp placed at its
+// ID. A look-alike from another graph, even with the same ID and name, is
+// not.
+func (g *Graph) owns(op *Op) bool {
+	return op.ID >= 0 && op.ID < len(g.ops) && g.ops[op.ID] == op
 }
 
 // MustConnect is Connect that panics on error.
@@ -192,7 +205,7 @@ func (g *Graph) DeviceSubgraph(device string) *Graph {
 
 // Clone returns a deep copy of the graph. Op IDs and names are preserved.
 func (g *Graph) Clone() *Graph {
-	c := New()
+	c := NewSized(len(g.ops))
 	for _, op := range g.ops {
 		n := c.MustAddOp(op.Name, op.Kind)
 		n.Device = op.Device
@@ -214,7 +227,6 @@ func (g *Graph) Clone() *Graph {
 // adjacency, every op tagged with a device and a resource, communication ops
 // on distinct resources from compute ops, and acyclicity.
 func (g *Graph) Validate() error {
-	seen := make(map[string]bool, len(g.ops))
 	for i, op := range g.ops {
 		if op.ID != i {
 			return fmt.Errorf("graph: op %q has ID %d at index %d", op.Name, op.ID, i)
@@ -222,10 +234,10 @@ func (g *Graph) Validate() error {
 		if op.Name == "" {
 			return fmt.Errorf("graph: op %d has empty name", i)
 		}
-		if seen[op.Name] {
-			return fmt.Errorf("graph: duplicate op name %q", op.Name)
+		// Every op indexed under its own name means no two ops share one.
+		if g.byName[op.Name] != op {
+			return fmt.Errorf("graph: op name %q is duplicated or was changed after AddOp", op.Name)
 		}
-		seen[op.Name] = true
 		if op.Device == "" {
 			return fmt.Errorf("graph: op %q has no device tag", op.Name)
 		}
@@ -233,7 +245,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: op %q has no resource tag", op.Name)
 		}
 		for _, succ := range op.out {
-			if g.byName[succ.Name] != succ {
+			if !g.owns(succ) {
 				return fmt.Errorf("graph: op %q points outside graph", op.Name)
 			}
 		}

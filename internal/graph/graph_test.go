@@ -65,6 +65,45 @@ func TestConnectRejectsBadEdges(t *testing.T) {
 	}
 }
 
+// TestMembershipIsByIdentity requires Connect and Validate to tell a
+// graph's own op from a look-alike in another graph with the same ID and
+// name, and Validate to reject two ops sharing a name.
+func TestMembershipIsByIdentity(t *testing.T) {
+	g := New()
+	a := tag(g.MustAddOp("a", Compute), "worker:0")
+	b := tag(g.MustAddOp("b", Compute), "worker:0")
+	other := New()
+	tag(other.MustAddOp("a", Compute), "worker:0")
+	twin := tag(other.MustAddOp("b", Compute), "worker:0")
+	if twin.ID != b.ID || twin.Name != b.Name {
+		t.Fatalf("look-alike is %d/%s, want %d/%s", twin.ID, twin.Name, b.ID, b.Name)
+	}
+	if err := g.Connect(a, twin); err == nil {
+		t.Fatal("edge to a look-alike from another graph accepted")
+	}
+	if err := g.Connect(twin, a); err == nil {
+		t.Fatal("edge from a look-alike from another graph accepted")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("valid graph rejected: %v", err)
+	}
+
+	a.out = append(a.out, twin)
+	if err := g.Validate(); err == nil {
+		t.Fatal("successor from another graph accepted")
+	}
+	a.out = a.out[:0]
+
+	b.Name = "a"
+	if err := g.Validate(); err == nil {
+		t.Fatal("duplicated op name accepted")
+	}
+	b.Name = "b"
+	if err := g.Validate(); err != nil {
+		t.Fatalf("restored graph rejected: %v", err)
+	}
+}
+
 func TestRootsAndLeaves(t *testing.T) {
 	g := buildDiamond(t)
 	roots := g.Roots()

@@ -91,9 +91,13 @@ func BuildWorker(spec Spec, mode Mode, batch int, device string, chanFor Channel
 	// FLOPs: total forward work split across layers proportionally to layer
 	// parameter bytes; the backward pass costs 2x the forward per layer.
 	totalFwdFLOPs := spec.ForwardGFLOPs * 1e9 * float64(batch)
+	if !(3*totalFwdFLOPs < maxWorkerFLOPs) {
+		return nil, fmt.Errorf("model %s: batch %d needs %.3g FLOPs per worker pass, above the limit of %.3g",
+			spec.Name, batch, 3*totalFwdFLOPs, float64(maxWorkerFLOPs))
+	}
 	layerFLOPs := splitFLOPs(totalFwdFLOPs, layers)
 
-	g := graph.New()
+	g := graph.NewSized(spec.Ops(mode))
 	compute := device + "/compute"
 
 	// Recv roots.
@@ -204,6 +208,11 @@ func BuildWorker(spec Spec, mode Mode, batch int, device string, chanFor Channel
 	}
 	return g, nil
 }
+
+// maxWorkerFLOPs bounds one worker pass, forward plus a backward pass at
+// twice the forward work. Op FLOPs are int64, and this keeps every layer's
+// FLOPs, and twice them, far from overflow.
+const maxWorkerFLOPs = 1 << 62
 
 // MustBuildWorker is BuildWorker that panics on error; the catalog specs are
 // all buildable, so failures indicate programmer error.

@@ -177,6 +177,31 @@ func TestBuildWorkerErrors(t *testing.T) {
 	}
 }
 
+// TestBuildWorkerRejectsFLOPsOverflow requires a batch whose FLOPs would
+// wrap int64 to be an error, not a graph with negative op FLOPs, and a
+// batch of 2^20 samples, the cluster layer's cap, to build on the
+// heaviest model with every op's FLOPs non-negative.
+func TestBuildWorkerRejectsFLOPsOverflow(t *testing.T) {
+	s, _ := ByName("AlexNet v2")
+	for _, batch := range []int{512 * 300_000_000, 512 * 1_000_000_000, 1 << 50, math.MaxInt} {
+		if _, err := BuildWorker(s, Training, batch, "worker:0", nil); err == nil {
+			t.Fatalf("batch %d accepted", batch)
+		}
+	}
+	heavy, _ := ByName("VGG-19")
+	for _, mode := range []Mode{Training, Inference} {
+		g, err := BuildWorker(heavy, mode, 1<<20, "worker:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range g.Ops() {
+			if op.FLOPs < 0 {
+				t.Fatalf("%s: op %s has %d FLOPs", mode, op.Name, op.FLOPs)
+			}
+		}
+	}
+}
+
 func TestBuildWorkerFLOPsScaleWithBatch(t *testing.T) {
 	s, _ := ByName("Inception v1")
 	sum := func(g *graph.Graph) int64 {

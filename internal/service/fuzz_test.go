@@ -20,7 +20,9 @@ func resolveBody(body []byte) (resolved, error) {
 // It must never panic; every rejection must be a coded client error from
 // the documented manifest; and an accepted spec, re-encoded in the
 // envelope and resolved again, must land on the same cache and dedup keys —
-// one semantic request, one slot, however it was phrased.
+// one semantic request, one slot, however it was phrased. So must the
+// spec with batch_factor 0 and 1 swapped and iterations 0 and 1 swapped,
+// which build the same graph.
 func FuzzWorkloadSpecResolve(f *testing.F) {
 	seeds := []string{
 		// Request bodies of the service tests.
@@ -86,6 +88,30 @@ func FuzzWorkloadSpecResolve(f *testing.F) {
 		}
 		if res2.runKey() != res.runKey() {
 			t.Fatalf("run key changed across re-encoding:\n%s\n%s\n%s", res.runKey(), res2.runKey(), again)
+		}
+		alt := res.spec
+		switch alt.BatchFactor {
+		case 0:
+			alt.BatchFactor = 1
+		case 1:
+			alt.BatchFactor = 0
+		}
+		switch alt.Iterations {
+		case 0:
+			alt.Iterations = 1
+		case 1:
+			alt.Iterations = 0
+		}
+		swapped, err := json.Marshal(ScheduleRequest{Workload: &alt})
+		if err != nil {
+			t.Fatalf("swapped spec does not encode: %v", err)
+		}
+		res3, err := resolveBody(swapped)
+		if err != nil {
+			t.Fatalf("spec with batch_factor/iterations 0 and 1 swapped rejected: %v\n%s", err, swapped)
+		}
+		if res3.key != res.key || res3.fleetKey() != res.fleetKey() {
+			t.Fatalf("cluster key changed with batch_factor/iterations 0 and 1 swapped:\n%+v\n%+v\n%s", res.key, res3.key, swapped)
 		}
 	})
 }

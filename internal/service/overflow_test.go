@@ -59,6 +59,33 @@ func TestOverflowingInputsAreBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBatchFactorIsBadRequest requires a batch_factor whose
+// effective batch is above cluster.MaxBatch to get the structured 400 on
+// every endpoint, never a 200 built from wrapped FLOPs or a rounded-down
+// batch, nor a 500 from the simulator.
+func TestOversizedBatchFactorIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, factor := range []string{"3e8", "1e9", "1e11", "1e12", "1e18", "1e300"} {
+		spec := `{"model": "AlexNet v2", "batch_factor": ` + factor + `}`
+		for _, tc := range []struct{ path, body string }{
+			{"/v1/schedule", `{"workload": ` + spec + `}`},
+			{"/v1/simulate", `{"workload": ` + spec + `}`},
+			{"/v1/batch", `{"workload": ` + spec + `, "variants": [{}]}`},
+		} {
+			resp, payload := post(t, ts.URL+tc.path, json.RawMessage(tc.body))
+			var e ErrorResponse
+			if err := json.Unmarshal(payload, &e); err != nil {
+				t.Fatalf("%s %s: body is not JSON (%v): %q", tc.path, tc.body, err, payload)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeBadRequest ||
+				!strings.Contains(e.Error.Message, "batch_factor") {
+				t.Errorf("%s batch_factor %s: got %d/%s (%s), want 400/%s naming batch_factor",
+					tc.path, factor, resp.StatusCode, e.Error.Code, e.Error.Message, CodeBadRequest)
+			}
+		}
+	}
+}
+
 // TestWriteJSONEncodeFailure requires a value the encoder refuses to
 // become the structured 500, with nothing written before it, and every
 // other value to keep the indented encoder's exact bytes.

@@ -14,6 +14,7 @@ import (
 
 	"tictac/internal/cluster"
 	"tictac/internal/core"
+	"tictac/internal/timing"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Service, *httptest.Server) {
@@ -160,12 +161,61 @@ func TestScheduleDigestKeyUnifiesEquivalentRequests(t *testing.T) {
 	if schedBuilds != 1 {
 		t.Errorf("semantically identical requests built %d schedules, want 1", schedBuilds)
 	}
-	// The clusters differ as Config values, so two cluster builds are
-	// expected — but they digest identically, which is what unified the
-	// schedule slot.
+	// The cluster key normalizes both fields to the graph they build, so
+	// the two requests share one cluster slot too.
 	clBuilds, _ := svc.BuildCounts()
-	if clBuilds != 2 {
-		t.Errorf("cluster builds = %d, want 2 (distinct Config values)", clBuilds)
+	if clBuilds != 1 {
+		t.Errorf("cluster builds = %d, want 1", clBuilds)
+	}
+}
+
+// TestOneClusterSlotPerGraph requires requests that build one graph to
+// share one cluster slot and one fleet owner however they phrase it: an
+// omitted batch_factor, 1, or any factor that rounds to the standard
+// batch, and iterations omitted or 1. The key of a request omitting both
+// fields keeps its historical rendering, so no fleet routing moves.
+func TestOneClusterSlotPerGraph(t *testing.T) {
+	same := []string{
+		`{"model": "AlexNet v2"}`,
+		`{"model": "AlexNet v2", "batch_factor": 1}`,
+		`{"model": "AlexNet v2", "iterations": 1}`,
+		`{"model": "AlexNet v2", "batch_factor": 1.001, "iterations": 1}`,
+	}
+	svc, ts := newTestServer(t, Options{})
+	var key string
+	for i, body := range same {
+		res, err := resolveBody([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			key = res.fleetKey()
+		} else if res.fleetKey() != key {
+			t.Errorf("%s routes on %q, want %q", body, res.fleetKey(), key)
+		}
+		if resp, payload := post(t, ts.URL+"/v1/schedule", json.RawMessage(body)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, resp.StatusCode, payload)
+		}
+	}
+	if clBuilds, schedBuilds := svc.BuildCounts(); clBuilds != 1 || schedBuilds != 1 {
+		t.Errorf("one graph cost %d cluster and %d schedule builds, want 1 and 1", clBuilds, schedBuilds)
+	}
+	want := fmt.Sprintf("{AlexNet v2 training 1 1 0 0 false %s }", core.PlatformDigest(timing.EnvG()))
+	if key != want {
+		t.Errorf("default key renders %q, want %q", key, want)
+	}
+
+	for _, body := range []string{
+		`{"model": "AlexNet v2", "batch_factor": 2}`,
+		`{"model": "AlexNet v2", "iterations": 2}`,
+	} {
+		res, err := resolveBody([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.fleetKey() == key {
+			t.Errorf("%s shares the standard graph's key %q", body, key)
+		}
 	}
 }
 

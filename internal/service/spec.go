@@ -155,12 +155,14 @@ type MembershipEventSpec struct {
 // spec. cluster.Config itself can no longer key the cache: with
 // heterogeneous overrides it carries a *timing.PlatformMap, which would
 // compare by pointer and split semantically identical requests across
-// slots. The key carries the cost model by content digest instead.
+// slots. The key carries the cost model by content digest instead, and
+// the graph shape as built: batch is the effective batch (0 for the
+// model's standard batch) and iterations is 0 for a single iteration.
 type clusterKey struct {
 	model          string
 	mode           string
 	workers, ps    int
-	batchFactor    float64
+	batch          int
 	iterations     int
 	sharedPSNIC    bool
 	platformDigest string
@@ -383,12 +385,27 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 		Iterations:  spec.Iterations,
 		SharedPSNIC: spec.SharedPSNIC,
 	}
+	if r.cfg.ValidateBatch() != nil {
+		return r, badRequest("batch_factor %g asks for more than %d samples per worker (standard batch %d)",
+			spec.BatchFactor, cluster.MaxBatch, ms.Batch)
+	}
 	if platforms != nil {
 		// Surface override-key typos as client errors here, before any
 		// cache or build work runs on this spec's behalf.
 		if err := r.cfg.ValidateOverrides(); err != nil {
 			return r, badRequest("%v", err)
 		}
+	}
+	// Key the graph, not its phrasing: a factor by the batch it builds,
+	// with the standard batch keyed 0 as when the field is omitted, and
+	// iterations 0 and 1, both one iteration, alike.
+	batch := r.cfg.Batch()
+	if batch == ms.Batch {
+		batch = 0
+	}
+	iterations := spec.Iterations
+	if iterations == 1 {
+		iterations = 0
 	}
 	r.spec = spec
 	if readsWarmup {
@@ -400,8 +417,8 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 		mode:             r.mode,
 		workers:          workers,
 		ps:               ps,
-		batchFactor:      batchFactor,
-		iterations:       spec.Iterations,
+		batch:            batch,
+		iterations:       iterations,
 		sharedPSNIC:      spec.SharedPSNIC,
 		platformDigest:   platformDigest,
 		membershipDigest: r.membershipDigest,
