@@ -90,15 +90,23 @@ func TestHelpExitsZero(t *testing.T) {
 	if !strings.Contains(stderr.String(), "cache-capacity") {
 		t.Errorf("usage text missing: %s", stderr.String())
 	}
+	if !strings.Contains(stderr.String(), "cache eviction policy (lru|lfu|belady)") {
+		t.Errorf("usage text does not list the eviction policies: %s", stderr.String())
+	}
 }
 
+// TestBadCachePolicy requires an unknown eviction policy, size-aware (which
+// was removed) included, to exit 2 with an error naming it and listing the
+// policies there are.
 func TestBadCachePolicy(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cache-policy", "astrology"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "astrology") {
-		t.Errorf("stderr missing policy error: %s", stderr.String())
+	for _, name := range []string{"astrology", "size-aware"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-cache-policy", name}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-cache-policy %s: exit code %d, want 2", name, code)
+		}
+		if want := `unknown eviction policy "` + name + `" (known: lru, lfu, belady)`; !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q: %s", want, stderr.String())
+		}
 	}
 }
 

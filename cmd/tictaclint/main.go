@@ -2,7 +2,8 @@
 // the stdlib-only framework in internal/analysis. It machine-checks the
 // contracts the code comments only state: determinism (detrand), hot-path
 // allocation discipline (hotpathalloc), cache locking (lockdiscipline),
-// error-code documentation (errcode) and registry shape (registryhygiene).
+// error-code documentation (errcode) and name-table hygiene
+// (registryhygiene).
 //
 // Run it as a go vet tool so package loading, caching and test-file
 // merging come from the go command:

@@ -34,13 +34,13 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("tictacd serving on %s\n\n", base)
 
-	// 1. A cold schedule request: built once, digested, cached. The
-	// canonical body wraps the workload in an envelope ({"workload": ...});
-	// the older flat layout is still accepted.
+	// 1. A cold schedule request: built once, digested, cached. The body
+	// wraps the workload in an envelope ({"workload": ...}); any other
+	// top-level field is a 400.
 	workload := tictac.ServiceWorkloadSpec{
 		Model: "ResNet-50 v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1,
 	}
-	req := tictac.ServiceScheduleRequest{Workload: &workload}
+	req := tictac.ServiceScheduleRequest{Workload: workload}
 	t0 := time.Now()
 	resp := postJSON(base+"/v1/schedule", req)
 	coldMs := time.Since(t0).Seconds() * 1000
@@ -89,7 +89,7 @@ func main() {
 	// simulate protocol knobs live on the same WorkloadSpec envelope.
 	simWorkload := workload
 	simWorkload.MeasureIterations = 5
-	simReq := tictac.ServiceSimulateRequest{Workload: &simWorkload}
+	simReq := tictac.ServiceSimulateRequest{Workload: simWorkload}
 	var sim struct {
 		Result struct {
 			MeanThroughput  float64 `json:"mean_throughput_samples_per_second"`
@@ -108,7 +108,7 @@ func main() {
 	// same spec.
 	tic, none, cp := "tic", "none", "critical-path"
 	batchReq := tictac.ServiceBatchRequest{
-		Workload: &simWorkload,
+		Workload: simWorkload,
 		Variants: []tictac.ServiceBatchVariant{
 			{Label: "baseline-unscheduled", Policy: &none},
 			{Label: "tic", Policy: &tic},
@@ -183,7 +183,7 @@ func fleetDemo(workload tictac.ServiceWorkloadSpec) {
 	// exactly one node (the key's home) builds the schedule, the others
 	// forward. The X-Tictac-Via header on a relayed response names the
 	// node that actually served it.
-	req := tictac.ServiceScheduleRequest{Workload: &workload}
+	req := tictac.ServiceScheduleRequest{Workload: workload}
 	for _, m := range members {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(m.URL+"/v1/schedule", "application/json", bytes.NewReader(body))

@@ -8,7 +8,7 @@
 //   - hotpathalloc: no allocation-causing constructs in //tictac:hotpath code
 //   - lockdiscipline: eviction policies and guarded fields only under the mutex
 //   - errcode: service error codes constant-declared and documented
-//   - registryhygiene: registries populated at init, lowercase unique names
+//   - registryhygiene: name tables use non-empty, lowercase, unique names
 //
 // The analyzers run through cmd/tictaclint (`make lint-internal`, or
 // `go vet -vettool=bin/tictaclint ./...`). See docs/static-analysis.md.

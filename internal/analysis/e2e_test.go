@@ -121,13 +121,13 @@ var mutations = []mutation{
 		want:     "Code* constant",
 	},
 	{
-		name:     "registryhygiene/registration-outside-init",
+		name:     "registryhygiene/uppercase-table-name",
 		pattern:  "tictac/internal/cache",
 		file:     "internal/cache/policy.go",
-		old:      "func init() {",
-		new:      "func lateSetup() {",
+		old:      `LRU = "lru"`,
+		new:      `LRU = "LRU"`,
 		analyzer: "registryhygiene",
-		want:     "outside func init",
+		want:     "lowercase",
 	},
 }
 

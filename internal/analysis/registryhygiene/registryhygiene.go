@@ -1,17 +1,15 @@
-// Package registryhygiene implements the registry-shape analyzer for the
-// name->factory registries (sched policies, cache eviction policies) and
-// the bench experiment catalog. The registries are API surface: the
-// service validates request fields against them and /healthz lists them,
-// so they must be fully populated at package init, their names must be
-// stable lowercase identifiers, and everything registered must be visible
-// through the package's listing function.
+// Package registryhygiene implements the name-table analyzer for the fixed
+// name tables: the sched policies, the cache eviction policies and the
+// bench experiment catalog. The tables are API surface: the service
+// validates request fields against them, /v1/policies and flag help list
+// them, and tictac-bench -exp selects from them, so their names must be
+// stable lowercase identifiers, unique within their table.
 package registryhygiene
 
 import (
 	"go/ast"
-	"go/token"
+	"go/constant"
 	"go/types"
-	"strconv"
 	"strings"
 
 	"tictac/internal/analysis/framework"
@@ -20,14 +18,13 @@ import (
 // Analyzer is the registryhygiene analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "registryhygiene",
-	Doc: `checks registry registration sites, name hygiene, and listing reachability
+	Doc: `checks that name tables use non-empty, lowercase, unique names
 
-In sched, cache and bench packages: same-package Register* calls may only
-happen inside func init or another exported Register* function; constant
-registration names must be non-empty, lowercase and unique; registry
-state written by an exported Register* function must be readable through
-some other exported function; and the static experiment catalog
-(Experiments) must use non-empty, lowercase, unique Name literals.`,
+In sched, cache and bench packages, a name table is a slice literal of
+structs that pair a string field called name or Name with a func field:
+the sched and cache policy tables and the bench experiment catalog
+(Experiments). Every constant name in a table must be non-empty,
+lowercase and unique within it.`,
 	Run: run,
 }
 
@@ -35,221 +32,85 @@ func run(pass *framework.Pass) error {
 	if !framework.PathHasSegment(pass.Pkg.Path(), "sched", "cache", "bench") {
 		return nil
 	}
-	c := &checker{pass: pass, seenNames: map[string]token.Pos{}}
 	for _, file := range pass.Files {
 		if pass.InTestFile(file.Pos()) {
 			continue
 		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				if index, field, ok := nameField(pass.TypesInfo.TypeOf(lit)); ok {
+					checkTable(pass, lit, index, field)
+				}
 			}
-			c.checkFunc(fd)
-		}
+			return true
+		})
 	}
-	c.checkListingReachability()
 	return nil
 }
 
-type checker struct {
-	pass *framework.Pass
-	// seenNames records constant registration names for package-wide
-	// uniqueness (value -> first registration position).
-	seenNames map[string]token.Pos
-	// registerWrites maps each exported Register* declaration to the
-	// package-level vars its body writes.
-	registerWrites []registerFunc
-}
-
-type registerFunc struct {
-	decl   *ast.FuncDecl
-	writes map[types.Object]bool
-}
-
-func isRegisterName(name string) bool {
-	return strings.HasPrefix(name, "Register") && ast.IsExported(name)
-}
-
-func (c *checker) checkFunc(fd *ast.FuncDecl) {
-	isInit := fd.Name.Name == "init" && fd.Recv == nil
-	isRegister := fd.Recv == nil && isRegisterName(fd.Name.Name)
-
-	if isRegister {
-		c.registerWrites = append(c.registerWrites, registerFunc{
-			decl:   fd,
-			writes: c.packageVarWrites(fd.Body),
-		})
-	}
-	if fd.Name.Name == "Experiments" && fd.Recv == nil {
-		c.checkExperimentCatalog(fd)
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := c.calleeFunc(call)
-		if callee == nil || !isRegisterName(callee.Name()) {
-			return true
-		}
-		if !isInit && !isRegister {
-			c.pass.Reportf(call.Pos(),
-				"%s called outside func init or an exported Register* function; registries must be fully populated at package init so listings and validation see every name", callee.Name())
-		}
-		c.checkNameArg(call)
-		return true
-	})
-}
-
-// calleeFunc resolves a call to a same-package package-level function.
-func (c *checker) calleeFunc(call *ast.CallExpr) *types.Func {
-	id, ok := call.Fun.(*ast.Ident)
+// nameField reports whether t is a name table — a slice of structs with a
+// string field called name or Name and at least one func field — and
+// returns that field's index and name.
+func nameField(t types.Type) (int, string, bool) {
+	sl, ok := t.Underlying().(*types.Slice)
 	if !ok {
-		return nil
+		return 0, "", false
 	}
-	fn, ok := c.pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() != c.pass.Pkg {
-		return nil
+	st, ok := sl.Elem().Underlying().(*types.Struct)
+	if !ok {
+		return 0, "", false
 	}
-	return fn
-}
-
-// checkNameArg validates the first constant string argument of a Register*
-// call: non-empty, lowercase, unique in the package.
-func (c *checker) checkNameArg(call *ast.CallExpr) {
-	if len(call.Args) == 0 {
-		return
-	}
-	arg := call.Args[0]
-	tv, ok := c.pass.TypesInfo.Types[arg]
-	if !ok || tv.Value == nil {
-		return // dynamic name: the wrapping Register* call site is checked instead
-	}
-	if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
-		return
-	}
-	name, err := strconv.Unquote(tv.Value.ExactString())
-	if err != nil {
-		return
-	}
-	switch {
-	case name == "":
-		c.pass.Reportf(arg.Pos(), "registry name must be non-empty")
-	case name != strings.ToLower(name):
-		c.pass.Reportf(arg.Pos(), "registry name %q must be lowercase: names are stable request-field values", name)
-	}
-	if name == "" {
-		return
-	}
-	if first, dup := c.seenNames[name]; dup {
-		c.pass.Reportf(arg.Pos(), "registry name %q is already registered at %s", name, c.pass.Fset.Position(first))
-		return
-	}
-	c.seenNames[name] = arg.Pos()
-}
-
-// packageVarWrites returns the package-level vars assigned inside body.
-func (c *checker) packageVarWrites(body *ast.BlockStmt) map[types.Object]bool {
-	writes := map[types.Object]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
+	index, hasFunc := -1, false
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if b, ok := f.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 && (f.Name() == "name" || f.Name() == "Name") {
+			index = i
 		}
-		for _, lhs := range as.Lhs {
-			target := lhs
-			if ix, ok := target.(*ast.IndexExpr); ok {
-				target = ix.X // m[k] = v writes m
-			}
-			id, ok := target.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := c.pass.TypesInfo.Uses[id]
-			if v, ok := obj.(*types.Var); ok && v.Parent() == c.pass.Pkg.Scope() {
-				writes[v] = true
-			}
-		}
-		return true
-	})
-	return writes
-}
-
-// checkListingReachability requires the registry state each exported
-// Register* function writes to be read by some other exported function —
-// otherwise registered names are invisible to callers.
-func (c *checker) checkListingReachability() {
-	for _, rf := range c.registerWrites {
-		if len(rf.writes) == 0 {
-			continue // delegates to another Register*, which is checked itself
-		}
-		if !c.readByExportedReader(rf) {
-			c.pass.Reportf(rf.decl.Name.Pos(),
-				"%s writes registry state no exported function reads; expose the registered names through a listing function (like Names or Policies)", rf.decl.Name.Name)
+		if _, ok := f.Type().Underlying().(*types.Signature); ok {
+			hasFunc = true
 		}
 	}
-}
-
-func (c *checker) readByExportedReader(rf registerFunc) bool {
-	for _, file := range c.pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd == rf.decl {
-				continue
-			}
-			if !ast.IsExported(fd.Name.Name) || isRegisterName(fd.Name.Name) {
-				continue
-			}
-			found := false
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if obj := c.pass.TypesInfo.Uses[id]; obj != nil && rf.writes[obj] {
-						found = true
-						return false
-					}
-				}
-				return !found
-			})
-			if found {
-				return true
-			}
-		}
+	if index < 0 || !hasFunc {
+		return 0, "", false
 	}
-	return false
+	return index, st.Field(index).Name(), true
 }
 
-// checkExperimentCatalog applies the name rules to the static experiment
-// list: composite-literal elements with a Name field.
-func (c *checker) checkExperimentCatalog(fd *ast.FuncDecl) {
+// checkTable applies the name rules to every row of one table whose name
+// is a constant, given by key or by position.
+func checkTable(pass *framework.Pass, lit *ast.CompositeLit, index int, field string) {
 	seen := map[string]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		kv, ok := n.(*ast.KeyValueExpr)
+	for _, elt := range lit.Elts {
+		row, ok := elt.(*ast.CompositeLit)
 		if !ok {
-			return true
+			continue
 		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok || key.Name != "Name" {
-			return true
+		var val ast.Expr
+		for i, e := range row.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok && id.Name == field {
+					val = kv.Value
+				}
+			} else if i == index {
+				val = e
+			}
 		}
-		tv, ok := c.pass.TypesInfo.Types[kv.Value]
-		if !ok || tv.Value == nil {
-			return true
+		if val == nil {
+			continue
 		}
-		name, err := strconv.Unquote(tv.Value.ExactString())
-		if err != nil {
-			return true
+		tv := pass.TypesInfo.Types[val]
+		if tv.Value == nil || tv.Value.Kind() != constant.String {
+			continue
 		}
+		name := constant.StringVal(tv.Value)
 		switch {
 		case name == "":
-			c.pass.Reportf(kv.Value.Pos(), "experiment name must be non-empty")
+			pass.Reportf(val.Pos(), "table name must be non-empty")
 		case name != strings.ToLower(name):
-			c.pass.Reportf(kv.Value.Pos(), "experiment name %q must be lowercase: names are stable -run selectors", name)
+			pass.Reportf(val.Pos(), "table name %q must be lowercase: names are stable request-field values and CLI selectors", name)
 		case seen[name]:
-			c.pass.Reportf(kv.Value.Pos(), "experiment name %q is duplicated in the catalog", name)
+			pass.Reportf(val.Pos(), "table name %q is duplicated in its table", name)
 		}
 		seen[name] = true
-		return true
-	})
+	}
 }

@@ -1,40 +1,35 @@
-// Package sched is a registryhygiene fixture: a miniature of the real
-// name->factory registries.
+// Package sched is a registryhygiene fixture: a miniature of the fixed
+// name->factory policy tables.
 package sched
 
-var (
-	factories = map[string]func() int{}
-	regOrder  []string
+const (
+	TIC = "tic"
+	TAC = "tac"
 )
 
-func Register(name string, f func() int) {
-	factories[name] = f
-	regOrder = append(regOrder, name)
+var policies = []struct {
+	name string
+	new  func(seed int64) int
+}{
+	{TIC, func(int64) int { return 1 }},
+	{TAC, func(int64) int { return 2 }},
+	{"tic", func(int64) int { return 3 }},  // want "duplicated"
+	{"TAC2", func(int64) int { return 4 }}, // want "lowercase"
+	{"", func(int64) int { return 5 }},     // want "non-empty"
+	{name: "Keyed", new: nil},              // want "lowercase"
 }
 
-// RegisterAlias delegates: calling Register from an exported Register*
-// function is allowed.
-func RegisterAlias(name string, f func() int) {
-	Register(name, f)
+// Names lists the table.
+func Names() []string {
+	names := make([]string, len(policies))
+	for i, p := range policies {
+		names[i] = p.name
+	}
+	return names
 }
 
-func Names() []string { return append([]string(nil), regOrder...) }
-
-func init() {
-	Register("tic", func() int { return 1 })
-	Register("tac", func() int { return 2 })
-	Register("tic", func() int { return 3 }) // want "already registered"
-	Register("TAC", func() int { return 4 }) // want "lowercase"
-	Register("", func() int { return 5 })    // want "non-empty"
-}
-
-func sneaky() {
-	Register("late", func() int { return 6 }) // want "outside func init"
-}
-
-var orphanOrder []string
-
-// RegisterOrphan records names nothing ever lists.
-func RegisterOrphan(name string) { // want "no exported function reads"
-	orphanOrder = append(orphanOrder, name)
+// Rows without a func field are not a name table, whatever their names.
+var models = []struct{ name string }{
+	{"VGG-16"},
+	{"VGG-16"},
 }

@@ -13,9 +13,9 @@
 //     coalesce onto one build and all receive its result.
 //   - Values are retained up to the configured budgets, which are exact;
 //     which resident entry goes first is decided by the cache's
-//     EvictionPolicy (default: LRU — see policy.go for the registry
-//     mirroring internal/sched). Eviction only touches completed entries:
-//     an in-flight build is never evicted from under its waiters.
+//     EvictionPolicy (default: LRU — see policy.go for the policy table,
+//     which mirrors internal/sched's). Eviction only touches completed
+//     entries: an in-flight build is never evicted from under its waiters.
 //   - Errors are returned to every coalesced waiter but never cached: the
 //     next Do for the key builds again.
 //
@@ -109,8 +109,8 @@ type Config[K comparable, V any] struct {
 	// with a global access sequence (NewBelady) sees exactly that
 	// sequence. Never share one instance between caches.
 	Policy EvictionPolicy
-	// Cost assigns each entry the cost its policy sees and CostCapacity
-	// accounts; nil charges 1 per entry (so Capacity counts entries).
+	// Cost assigns each entry the cost CostCapacity accounts; nil charges
+	// 1 per entry (so Capacity counts entries).
 	Cost func(K, V) int64
 	// KeyID renders a key as the stable identity string oracle policies
 	// match against their primed trace; nil uses fmt.Sprint. It runs only
@@ -254,7 +254,7 @@ func (c *Cache[K, V]) admit(e *entry[K, V]) {
 	c.nextHandle++
 	e.cost = c.cost(e.key, e.val)
 	c.byHandle[e.handle] = e
-	c.policy.Admit(e.handle, c.keyID(e.key), e.cost)
+	c.policy.Admit(e.handle, c.keyID(e.key))
 	c.residentCost += e.cost
 	for (c.capacity > 0 && len(c.byHandle) > c.capacity) ||
 		(c.costCapacity > 0 && c.residentCost > c.costCapacity) {

@@ -3,15 +3,16 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestPolicyConformance is the one table-driven harness every registered
-// eviction policy must pass. It ranges over the registry, so a future
-// policy is covered automatically the moment it calls RegisterPolicy —
-// there is no second list to keep in sync.
+// TestPolicyConformance is the one table-driven harness every eviction
+// policy must pass. It ranges over the policy table, so a future policy is
+// covered the moment it gets its table entry — there is no second list to
+// keep in sync.
 //
 // The contract under test is the cache's, not the policy's ranking
 // preferences: request coalescing still runs builds exactly once, errors
@@ -20,8 +21,8 @@ import (
 // (run under -race in CI's race gate) never serves a wrong value.
 func TestPolicyConformance(t *testing.T) {
 	policies := Policies()
-	if len(policies) < 4 {
-		t.Fatalf("registry has %d policies %v, want at least lru/lfu/size-aware/belady", len(policies), policies)
+	if want := []string{LRU, LFU, Belady}; !slices.Equal(policies, want) {
+		t.Fatalf("Policies() = %v, want %v", policies, want)
 	}
 	for _, policy := range policies {
 		t.Run(policy, func(t *testing.T) {

@@ -8,7 +8,6 @@ type recencyList struct {
 
 type recencyNode struct {
 	h          Handle
-	cost       int64
 	prev, next *recencyNode
 }
 
@@ -47,8 +46,8 @@ func (l *recencyList) moveToFront(n *recencyNode) {
 }
 
 // lruPolicy is the default: evict the least recently used entry. It is the
-// pre-registry behavior of this package, byte-for-byte — pinned by the
-// regression tests in cache_test.go.
+// behavior of this package before eviction became pluggable, byte-for-byte
+// — pinned by the regression tests in cache_test.go.
 type lruPolicy struct {
 	nodes map[Handle]*recencyNode
 	list  recencyList
@@ -60,8 +59,8 @@ func newLRUPolicy() *lruPolicy {
 
 func (p *lruPolicy) Name() string { return LRU }
 
-func (p *lruPolicy) Admit(h Handle, _ string, cost int64) {
-	n := &recencyNode{h: h, cost: cost}
+func (p *lruPolicy) Admit(h Handle, _ string) {
+	n := &recencyNode{h: h}
 	p.nodes[h] = n
 	p.list.pushFront(n)
 }
@@ -117,8 +116,8 @@ func (p *lfuPolicy) bucket(freq uint64) *recencyList {
 	return l
 }
 
-func (p *lfuPolicy) Admit(h Handle, _ string, cost int64) {
-	n := &lfuNode{n: recencyNode{h: h, cost: cost}, freq: 1}
+func (p *lfuPolicy) Admit(h Handle, _ string) {
+	n := &lfuNode{n: recencyNode{h: h}, freq: 1}
 	p.nodes[h] = n
 	p.bucket(1).pushFront(&n.n)
 	p.minFreq = 1
@@ -153,59 +152,10 @@ func (p *lfuPolicy) Remove(h Handle) {
 	}
 }
 
-// sizePolicy evicts the largest-cost entry, breaking cost ties by least
-// recency: under pressure it sacrifices one big entry to keep many small
-// ones resident. Victim is an O(resident) scan — exact and deterministic;
-// the caches this package serves hold hundreds of entries, not millions.
-type sizePolicy struct {
-	nodes map[Handle]*recencyNode
-	list  recencyList
-}
-
-func newSizePolicy() *sizePolicy {
-	return &sizePolicy{nodes: make(map[Handle]*recencyNode)}
-}
-
-func (p *sizePolicy) Name() string { return SizeAware }
-
-func (p *sizePolicy) Admit(h Handle, _ string, cost int64) {
-	n := &recencyNode{h: h, cost: cost}
-	p.nodes[h] = n
-	p.list.pushFront(n)
-}
-
-func (p *sizePolicy) Touch(h Handle) {
-	if n, ok := p.nodes[h]; ok {
-		p.list.moveToFront(n)
-	}
-}
-
-func (p *sizePolicy) Victim() (Handle, bool) {
-	// Scan from the LRU end so that, among equal costs, the least recently
-	// used entry wins (strictly-greater replacement keeps the first seen).
-	var best *recencyNode
-	for n := p.list.tail; n != nil; n = n.prev {
-		if best == nil || n.cost > best.cost {
-			best = n
-		}
-	}
-	if best == nil {
-		return 0, false
-	}
-	return best.h, true
-}
-
-func (p *sizePolicy) Remove(h Handle) {
-	if n, ok := p.nodes[h]; ok {
-		p.list.unlink(n)
-		delete(p.nodes, h)
-	}
-}
-
 // beladyPolicy is the offline-optimal oracle (Belady's MIN with optional
 // admission): primed with the full future access sequence it evicts the
 // resident entry whose next use lies farthest in the future — entries never
-// used again (or absent from the trace) go first. Unprimed (the registry
+// used again (or absent from the trace) go first. Unprimed (the table's
 // factory) it has no future to consult and degrades to exact LRU, so it
 // still satisfies the policy conformance contract.
 //
@@ -250,8 +200,8 @@ func NewBelady(future []string) EvictionPolicy {
 
 func (p *beladyPolicy) Name() string { return Belady }
 
-func (p *beladyPolicy) Admit(h Handle, id string, cost int64) {
-	p.lru.Admit(h, id, cost)
+func (p *beladyPolicy) Admit(h Handle, id string) {
+	p.lru.Admit(h, id)
 	p.ids[h] = id
 	p.cursor++
 }

@@ -650,7 +650,7 @@ func (c *Cluster) buildReferenceWorker() *graph.Graph {
 }
 
 // ComputeSchedule runs the ordering wizard for the cluster under the named
-// scheduling policy (see internal/sched for the registry).
+// scheduling policy (see internal/sched for the policy table).
 //
 // sched.None (or the empty string) returns a nil schedule — the unscheduled
 // baseline. Timing-aware policies that implement sched.OracleOrderer (tac)

@@ -12,18 +12,22 @@ import (
 	"tictac/internal/timing"
 )
 
-// partitionOnlyPolicies lists the registered policies that declare
+// partitionOnlyPolicies lists the policies that declare
 // sched.PartitionOnly.
 func partitionOnlyPolicies(t *testing.T) []string {
 	t.Helper()
 	var names []string
 	for _, name := range sched.Names() {
-		if _, ok := sched.MustNew(name, 0).(sched.PartitionOnly); ok {
+		p, err := sched.New(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.(sched.PartitionOnly); ok {
 			names = append(names, name)
 		}
 	}
 	if len(names) == 0 {
-		t.Fatal("no registered policy declares sched.PartitionOnly")
+		t.Fatal("no policy declares sched.PartitionOnly")
 	}
 	return names
 }
@@ -63,7 +67,11 @@ func TestPartitionOrderShared(t *testing.T) {
 					}
 				}
 			}
-			fresh, err := sched.MustNew(policy, 0).Order(c.buildReferenceWorker(), &plat)
+			p, err := sched.New(policy, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := p.Order(c.buildReferenceWorker(), &plat)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,7 @@
 // Schedules serialize to a stable JSON form documented in
 // docs/schedule-format.md (field meanings, validation rules and a worked
 // example); see Schedule.WriteJSON and ReadSchedule. Alternative ordering
-// heuristics beyond TIC/TAC live in the internal/sched policy registry and
+// heuristics beyond TIC/TAC live in the internal/sched policy table and
 // produce the same Schedule type.
 package core
 

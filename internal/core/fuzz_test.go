@@ -33,7 +33,11 @@ func FuzzReadSchedule(f *testing.F) {
 	}
 	plat := timing.EnvG()
 	for _, name := range []string{sched.TIC, sched.TAC, sched.FIFO} {
-		s, err := sched.MustNew(name, 1).Order(g, &plat)
+		p, err := sched.New(name, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := p.Order(g, &plat)
 		if err != nil {
 			f.Fatal(err)
 		}

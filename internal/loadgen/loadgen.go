@@ -217,7 +217,7 @@ func Run(opts Options) (*Report, error) {
 	ref := newVerifier()
 	bodies := make([][]byte, len(w.Events))
 	for i, e := range w.Events {
-		bodies[i] = marshal(service.ScheduleRequest{Workload: &service.WorkloadSpec{
+		bodies[i] = marshal(service.ScheduleRequest{Workload: service.WorkloadSpec{
 			Model: e.Model, Policy: e.Policy, Workers: e.Workers, PS: e.PS, Seed: e.Seed,
 		}})
 		if _, err := ref.want(pathSchedule, bodies[i]); err != nil {

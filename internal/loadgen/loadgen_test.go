@@ -135,7 +135,7 @@ func TestRunLoadChurnProbeCatchesStaleServer(t *testing.T) {
 	inner := service.New(service.Options{}).Handler()
 	url := serve(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req service.SimulateRequest
-		if r.URL.Path == pathSimulate && json.NewDecoder(r.Body).Decode(&req) == nil && req.Workload != nil {
+		if r.URL.Path == pathSimulate && json.NewDecoder(r.Body).Decode(&req) == nil {
 			req.Workload.Membership = nil
 			body := marshal(req)
 			r = r.Clone(r.Context())

@@ -116,7 +116,7 @@ func (p *prober) batch(d *dialer, b int) (vars, mismatches int, err error) {
 	variants = append(variants, variants[0],
 		service.BatchVariant{Label: "straggler", Policy: &p.policies[0], Stragglers: &stragglers})
 
-	status, payload, err := d.do(http.MethodPost, pathBatch, marshal(service.BatchRequest{Workload: &base, Variants: variants}))
+	status, payload, err := d.do(http.MethodPost, pathBatch, marshal(service.BatchRequest{Workload: base, Variants: variants}))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -139,7 +139,7 @@ func (p *prober) batch(d *dialer, b int) (vars, mismatches int, err error) {
 		if s := variants[i].Stragglers; s != nil {
 			twin.Stragglers = *s
 		}
-		want, _, err := d.result(pathSimulate, marshal(service.SimulateRequest{Workload: &twin}))
+		want, _, err := d.result(pathSimulate, marshal(service.SimulateRequest{Workload: twin}))
 		if err != nil {
 			return vars, mismatches, err
 		}
@@ -172,7 +172,7 @@ func (p *prober) churn(d *dialer, ref *verifier, k int) (stale int, err error) {
 		{Kind: "ps_shard_fail", PS: k % 2, Iteration: 2},
 		{Kind: "worker_join", Worker: w, Iteration: 3},
 	}
-	bodies := [2][]byte{marshal(service.SimulateRequest{Workload: &quiet}), marshal(service.SimulateRequest{Workload: &churned})}
+	bodies := [2][]byte{marshal(service.SimulateRequest{Workload: quiet}), marshal(service.SimulateRequest{Workload: churned})}
 	var wants [2][]byte
 	var digests [2]string
 	for i, body := range bodies {
@@ -220,7 +220,7 @@ func (p *prober) checkErrors(d *dialer) {
 		}
 	}
 	post := func(path string, spec service.WorkloadSpec) (int, []byte, error) {
-		return d.do(http.MethodPost, path, marshal(service.ScheduleRequest{Workload: &spec}))
+		return d.do(http.MethodPost, path, marshal(service.ScheduleRequest{Workload: spec}))
 	}
 	m := p.model
 
@@ -239,7 +239,7 @@ func (p *prober) checkErrors(d *dialer) {
 	st, body, err = d.do(http.MethodGet, "/v1/nope", nil)
 	expect("unknown path", http.StatusNotFound, service.CodeNotFound, st, body, err)
 
-	st, body, err = d.do(http.MethodPost, pathBatch, marshal(service.BatchRequest{Workload: &service.WorkloadSpec{Model: m}}))
+	st, body, err = d.do(http.MethodPost, pathBatch, marshal(service.BatchRequest{Workload: service.WorkloadSpec{Model: m}}))
 	expect("empty batch", http.StatusBadRequest, service.CodeBadRequest, st, body, err)
 
 	st, body, err = post(pathSchedule, service.WorkloadSpec{Model: m, Workers: 2, Membership: []service.MembershipEventSpec{
@@ -257,7 +257,7 @@ func (p *prober) checkErrors(d *dialer) {
 		Membership: []service.MembershipEventSpec{{Kind: "meteor", Worker: 1}}})
 	expect("unknown membership kind", http.StatusBadRequest, service.CodeBadRequest, st, body, err)
 
-	over := service.BatchRequest{Workload: &service.WorkloadSpec{Model: m}, Variants: make([]service.BatchVariant, service.DefaultMaxBatch+1)}
+	over := service.BatchRequest{Workload: service.WorkloadSpec{Model: m}, Variants: make([]service.BatchVariant, service.DefaultMaxBatch+1)}
 	st, body, err = d.do(http.MethodPost, pathBatch, marshal(over))
 	expect("oversized batch", http.StatusRequestEntityTooLarge, service.CodeBatchTooLarge, st, body, err)
 }

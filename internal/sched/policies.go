@@ -10,18 +10,6 @@ import (
 	"tictac/internal/timing"
 )
 
-func init() {
-	// Canonical presentation order: the paper's pair first, then the
-	// baselines and extensions.
-	Register(TIC, func(int64) Policy { return ticPolicy{} })
-	Register(TAC, func(int64) Policy { return tacPolicy{} })
-	Register(Random, func(seed int64) Policy { return randomPolicy{seed: seed} })
-	Register(FIFO, func(int64) Policy { return fifoPolicy{} })
-	Register(RevTopo, func(int64) Policy { return revTopoPolicy{} })
-	Register(SmallestFirst, func(int64) Policy { return smallestFirstPolicy{} })
-	Register(CriticalPath, func(int64) Policy { return criticalPathPolicy{} })
-}
-
 // ticPolicy is Timing-Independent Communication scheduling (Algorithm 2),
 // ported verbatim onto the Policy interface: it needs only the DAG, so the
 // platform is ignored.

@@ -5,12 +5,13 @@
 // (§4.3) are just two points in a much larger space of ordering heuristics.
 // This package makes that space explorable: a scheduling policy is anything
 // that maps a worker partition (and, optionally, a platform cost model) to a
-// core.Schedule, and a registry lets every consumer layer — the simulator,
-// the cluster builder, the real PS runtime and the bench experiments —
-// select policies by name instead of hard-coding the TIC/TAC pair.
+// core.Schedule, and a fixed name table lets every consumer layer — the
+// simulator, the cluster builder, the real PS runtime and the bench
+// experiments — select policies by name instead of hard-coding the TIC/TAC
+// pair.
 //
-// Adding a new ordering idea is a ~50-line drop-in: implement Policy,
-// Register it in an init function, and every binary flag surface
+// Adding a new ordering idea is a ~50-line drop-in: implement Policy, add
+// one entry to the table in registry.go, and every binary flag surface
 // (cmd/tictac, cmd/tictac-sim, cmd/tictac-bench -policies) and the
 // "shootout" experiment pick it up automatically.
 //
@@ -55,7 +56,7 @@ import (
 // stateless apart from construction-time parameters (e.g. a seed): Order may
 // be called concurrently from the parallel bench engine.
 type Policy interface {
-	// Name returns the registry selector of the policy (e.g. "tic").
+	// Name returns the table selector of the policy (e.g. "tic").
 	Name() string
 	// Order computes a transfer schedule over the worker partition g. plat
 	// supplies the platform's analytic cost model for timing-aware policies;

@@ -3,7 +3,6 @@ package sched
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"tictac/internal/core"
@@ -89,7 +88,7 @@ func scheduleBytes(t *testing.T, s *core.Schedule) []byte {
 	return buf.Bytes()
 }
 
-// TestPoliciesDeterministicForFixedSeed runs every registered policy twice
+// TestPoliciesDeterministicForFixedSeed runs every policy in the table twice
 // with the same seed on independently built copies of the same graph and
 // requires byte-identical serialized schedules — the contract the parallel
 // bench engine depends on.
@@ -107,11 +106,11 @@ func TestPoliciesDeterministicForFixedSeed(t *testing.T) {
 		return g
 	}
 	for _, name := range Names() {
-		s1, err := MustNew(name, 7).Order(build(), &plat)
+		s1, err := mustNew(t, name, 7).Order(build(), &plat)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s2, err := MustNew(name, 7).Order(build(), &plat)
+		s2, err := mustNew(t, name, 7).Order(build(), &plat)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -130,11 +129,11 @@ func TestRandomSeedVariesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := MustNew(Random, 1).Order(g, nil)
+	s1, err := mustNew(t, Random, 1).Order(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := MustNew(Random, 2).Order(g, nil)
+	s2, err := mustNew(t, Random, 2).Order(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +146,7 @@ func TestRandomSeedVariesOrder(t *testing.T) {
 }
 
 // TestTICTACByteMatchCore cross-checks the ported tic/tac policies against
-// the core implementations on every Table 1 model: the registry path must
+// the core implementations on every Table 1 model: the table path must
 // serialize byte-identically to the direct pre-refactor entry points.
 func TestTICTACByteMatchCore(t *testing.T) {
 	plat := timing.EnvG()
@@ -160,7 +159,7 @@ func TestTICTACByteMatchCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ticPolicy, err := MustNew(TIC, 1).Order(g, &plat)
+		ticPolicy, err := mustNew(t, TIC, 1).Order(g, &plat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +170,7 @@ func TestTICTACByteMatchCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tacPolicy, err := MustNew(TAC, 1).Order(g, &plat)
+		tacPolicy, err := mustNew(t, TAC, 1).Order(g, &plat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,19 +180,38 @@ func TestTICTACByteMatchCore(t *testing.T) {
 	}
 }
 
+// mustNew is New for names the test knows are in the table.
+func mustNew(t *testing.T, name string, seed int64) Policy {
+	t.Helper()
+	p, err := New(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRegistry pins the fixed policy table: its names and their order,
+// which reach /v1/policies and every -policy flag's help, each name
+// resolving to a policy that answers to it, case- and space-insensitive
+// lookup, and the unknown-name error text.
 func TestRegistry(t *testing.T) {
 	names := Names()
-	wantPrefix := []string{TIC, TAC, Random, FIFO, RevTopo, SmallestFirst, CriticalPath}
-	if len(names) < len(wantPrefix) {
-		t.Fatalf("names = %v", names)
+	want := []string{TIC, TAC, Random, FIFO, RevTopo, SmallestFirst, CriticalPath}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
-	for i, w := range wantPrefix {
-		if names[i] != w {
-			t.Fatalf("names[%d] = %s, want %s", i, names[i], w)
+	for _, n := range names {
+		if got := mustNew(t, n, 1).Name(); got != n {
+			t.Errorf("New(%q).Name() = %q", n, got)
 		}
 	}
-	if _, err := New("bogus", 1); err == nil || !strings.Contains(err.Error(), TIC) {
-		t.Fatalf("unknown-policy error should list the registry, got %v", err)
+	names[0] = "mutated"
+	if Names()[0] != TIC {
+		t.Fatal("Names() shares its slice with the table")
+	}
+	_, err := New("bogus", 1)
+	if err == nil || err.Error() != `sched: unknown policy "bogus" (known: tic, tac, random, fifo, revtopo, smallest-first, critical-path)` {
+		t.Fatalf("unknown-policy error = %v", err)
 	}
 	p, err := New(" TIC ", 1) // case- and space-insensitive selectors
 	if err != nil || p.Name() != TIC {
@@ -205,7 +223,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestTACNeedsPlatform(t *testing.T) {
-	if _, err := MustNew(TAC, 1).Order(testDAG(t), nil); err == nil {
+	if _, err := mustNew(t, TAC, 1).Order(testDAG(t), nil); err == nil {
 		t.Fatal("tac without a platform should fail")
 	}
 }
@@ -219,7 +237,7 @@ func TestTACNeedsPlatform(t *testing.T) {
 func TestPartitionOnlyContract(t *testing.T) {
 	var declared []string
 	for _, name := range Names() {
-		if _, ok := MustNew(name, 0).(PartitionOnly); ok {
+		if _, ok := mustNew(t, name, 0).(PartitionOnly); ok {
 			declared = append(declared, name)
 		}
 	}
@@ -239,7 +257,7 @@ func TestPartitionOnlyContract(t *testing.T) {
 			want := ""
 			for _, seed := range []int64{0, 1, 99} {
 				for _, plat := range []timing.Platform{timing.EnvG(), timing.EnvC()} {
-					s, err := MustNew(name, seed).Order(g, &plat)
+					s, err := mustNew(t, name, seed).Order(g, &plat)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -11,8 +11,7 @@ import (
 
 // BatchRequest is the body of POST /v1/batch: one base workload plus a list
 // of what-if variants expressed as deltas on it. The base workload uses the
-// same envelope as /v1/schedule and /v1/simulate (canonical "workload"
-// object or the legacy flat layout).
+// same envelope as /v1/schedule and /v1/simulate.
 //
 // The handler amortizes everything the variants share: the graph is parsed
 // and digested exactly once, one sim.Runner per graph is reused across all
@@ -21,19 +20,11 @@ import (
 // fan out on a deterministic worker pool — results are bit-identical at any
 // pool width.
 type BatchRequest struct {
-	// Workload is the canonical base-spec envelope.
-	Workload *WorkloadSpec `json:"workload,omitempty"`
-	// The embedded spec fields accept the legacy flat layout for the base.
-	WorkloadSpec
+	// Workload is the base spec.
+	Workload WorkloadSpec `json:"workload"`
 	// Variants are the what-if deltas; each entry yields one result slot in
 	// the response, in order. Must be non-empty.
 	Variants []BatchVariant `json:"variants"`
-}
-
-// spec returns the base WorkloadSpec, enforcing the same one-form-only rule
-// as ScheduleRequest.
-func (req BatchRequest) spec() (WorkloadSpec, error) {
-	return ScheduleRequest{Workload: req.Workload, WorkloadSpec: req.WorkloadSpec}.spec()
 }
 
 // BatchVariant is one what-if delta on the base workload. Every field is
@@ -205,11 +196,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) error {
 		return codeErr(http.StatusRequestEntityTooLarge, CodeBatchTooLarge,
 			"batch carries %d variants; the cap is %d (-max-batch)", len(req.Variants), s.opts.MaxBatch)
 	}
-	base, err := req.spec()
-	if err != nil {
-		return err
-	}
-	baseRes, err := base.resolve()
+	baseRes, err := req.Workload.resolve()
 	if err != nil {
 		return err
 	}
@@ -230,7 +217,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	var uniqs []resolved
 	uniqBy := make(map[string]int)
 	for i, v := range req.Variants {
-		res, err := v.apply(base).resolve()
+		res, err := v.apply(req.Workload).resolve()
 		if err != nil {
 			slots[i].err = err
 			continue

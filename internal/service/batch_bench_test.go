@@ -28,7 +28,7 @@ func benchBatchBody(b *testing.B) ([]byte, int) {
 			}},
 		)
 	}
-	body, err := json.Marshal(BatchRequest{Workload: &base, Variants: variants})
+	body, err := json.Marshal(BatchRequest{Workload: base, Variants: variants})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	base := WorkloadSpec{Model: "AlexNet v2", Workers: 2, PS: 1, Seed: 11, MeasureIterations: 4}
 	req := BatchRequest{
-		Workload: &base,
+		Workload: base,
 		Variants: []BatchVariant{
 			{Label: "baseline", Policy: strp("none")},
 			{Label: "tic", Policy: strp("tic")},
@@ -58,10 +58,7 @@ func TestBatchEndpoint(t *testing.T) {
 		if vr.Error != nil {
 			t.Fatalf("variant %d failed: %+v", i, vr.Error)
 		}
-		single := SimulateRequest{Workload: func() *WorkloadSpec {
-			s := req.Variants[i].apply(base)
-			return &s
-		}()}
+		single := SimulateRequest{Workload: req.Variants[i].apply(base)}
 		sresp, spayload := post(t, ts.URL+"/v1/simulate", single)
 		if sresp.StatusCode != http.StatusOK {
 			t.Fatalf("simulate twin %d: status %d: %s", i, sresp.StatusCode, spayload)
@@ -146,7 +143,7 @@ func TestBatchAmortizesSharedState(t *testing.T) {
 	svc, ts := newTestServer(t, Options{})
 	base := WorkloadSpec{Model: "AlexNet v2", Workers: 2, PS: 1, Seed: 5, MeasureIterations: 3}
 	req := BatchRequest{
-		Workload: &base,
+		Workload: base,
 		Variants: []BatchVariant{
 			{Policy: strp("tic")},
 			{Policy: strp("critical-path")},
@@ -194,7 +191,7 @@ func TestBatchAmortizesSharedState(t *testing.T) {
 // every worker-pool width.
 func TestBatchDeterministicAtAnyPoolWidth(t *testing.T) {
 	base := WorkloadSpec{Model: "Inception v1", Workers: 3, PS: 2, Seed: 2, MeasureIterations: 3}
-	req := BatchRequest{Workload: &base}
+	req := BatchRequest{Workload: base}
 	policies := []string{"none", "tic", "critical-path", "tac"}
 	for i := 0; i < 12; i++ {
 		v := BatchVariant{Policy: strp(policies[i%len(policies)]), Seed: i64p(int64(2 + i/4))}
@@ -230,7 +227,7 @@ func TestBatchDeterministicAtAnyPoolWidth(t *testing.T) {
 func TestBatchEdgeCases(t *testing.T) {
 	t.Run("empty variant list", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{})
-		resp, payload := post(t, ts.URL+"/v1/batch", BatchRequest{Workload: &WorkloadSpec{Model: "AlexNet v2"}})
+		resp, payload := post(t, ts.URL+"/v1/batch", BatchRequest{Workload: WorkloadSpec{Model: "AlexNet v2"}})
 		var e ErrorResponse
 		if err := json.Unmarshal(payload, &e); err != nil {
 			t.Fatal(err)
@@ -243,7 +240,7 @@ func TestBatchEdgeCases(t *testing.T) {
 	t.Run("unknown policy mid-batch", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{})
 		req := BatchRequest{
-			Workload: &WorkloadSpec{Model: "AlexNet v2", Workers: 2, MeasureIterations: 2},
+			Workload: WorkloadSpec{Model: "AlexNet v2", Workers: 2, MeasureIterations: 2},
 			Variants: []BatchVariant{
 				{Policy: strp("tic")},
 				{Policy: strp("quantum-annealing")},
@@ -268,7 +265,7 @@ func TestBatchEdgeCases(t *testing.T) {
 
 	t.Run("batch too large", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{MaxBatch: 4})
-		req := BatchRequest{Workload: &WorkloadSpec{Model: "AlexNet v2"}}
+		req := BatchRequest{Workload: WorkloadSpec{Model: "AlexNet v2"}}
 		req.Variants = make([]BatchVariant, 5)
 		resp, payload := post(t, ts.URL+"/v1/batch", req)
 		var e ErrorResponse
@@ -296,7 +293,7 @@ func TestBatchEdgeCases(t *testing.T) {
 	t.Run("invalid base spec", func(t *testing.T) {
 		_, ts := newTestServer(t, Options{})
 		req := BatchRequest{
-			Workload: &WorkloadSpec{Model: "NoSuchNet"},
+			Workload: WorkloadSpec{Model: "NoSuchNet"},
 			Variants: []BatchVariant{{Policy: strp("tic")}},
 		}
 		resp, payload := post(t, ts.URL+"/v1/batch", req)
@@ -319,7 +316,7 @@ func TestBatchConcurrent(t *testing.T) {
 	base := WorkloadSpec{Model: "AlexNet v2", Workers: 2, PS: 1, Seed: 3, MeasureIterations: 2}
 	mk := func(seed int64) BatchRequest {
 		return BatchRequest{
-			Workload: &base,
+			Workload: base,
 			Variants: []BatchVariant{
 				{Policy: strp("tic"), Seed: i64p(seed)},
 				{Policy: strp("none"), Seed: i64p(seed)},

@@ -20,7 +20,7 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeUnknownModel rejects a model name outside the Table 1 catalog.
 	CodeUnknownModel = "unknown_model"
-	// CodeUnknownPolicy rejects a policy name the registry doesn't know.
+	// CodeUnknownPolicy rejects a policy name outside the policy table.
 	CodeUnknownPolicy = "unknown_policy"
 	// CodeUnknownMode rejects a mode other than training/inference.
 	CodeUnknownMode = "unknown_mode"

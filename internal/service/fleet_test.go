@@ -109,7 +109,7 @@ func startTestFleetTimeout(t testing.TB, n int, forwardTimeout time.Duration) []
 // through the library, on the code path the cache build uses.
 func directSchedulePayload(t testing.TB, spec WorkloadSpec) []byte {
 	t.Helper()
-	res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+	res, err := spec.resolve()
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
@@ -132,7 +132,7 @@ func directSchedulePayload(t testing.TB, spec WorkloadSpec) []byte {
 // result payload (on 200), and the raw body.
 func postScheduleTo(t testing.TB, url string, spec WorkloadSpec, header http.Header) (int, []byte, []byte) {
 	t.Helper()
-	body, err := json.Marshal(ScheduleRequest{WorkloadSpec: spec})
+	body, err := json.Marshal(ScheduleRequest{Workload: spec})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -177,7 +177,7 @@ func specOwnedBy(t testing.TB, nodes []*fleetTestNode, want int, wantChain []str
 	for workers := 1; workers <= 24; workers++ {
 		for _, iters := range []int{0, 2, 3, 4} {
 			spec := WorkloadSpec{Model: "AlexNet v2", Workers: workers, PS: 1, Iterations: iters}
-			res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+			res, err := spec.resolve()
 			if err != nil {
 				t.Fatalf("resolve: %v", err)
 			}
@@ -354,7 +354,7 @@ func TestFleetDrainStreamsEntriesAndRacesWrites(t *testing.T) {
 	var specs []WorkloadSpec
 	for workers := 1; workers <= 24 && len(specs) < 3; workers++ {
 		spec := WorkloadSpec{Model: "AlexNet v2", Workers: workers, PS: 1}
-		res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+		res, err := spec.resolve()
 		if err != nil {
 			t.Fatalf("resolve: %v", err)
 		}
@@ -421,7 +421,7 @@ func TestFleetDrainStreamsEntriesAndRacesWrites(t *testing.T) {
 	}
 	nodes[0].kill()
 	for _, spec := range specs {
-		res, err := ScheduleRequest{WorkloadSpec: spec}.resolve()
+		res, err := spec.resolve()
 		if err != nil {
 			t.Fatalf("resolve: %v", err)
 		}
@@ -463,7 +463,7 @@ func TestFleetForwardOverRelayCapServedLocally(t *testing.T) {
 	nodes := startTestFleetTimeout(t, 2, time.Minute)
 	spec := specOwnedBy(t, nodes, 1, nil)
 	spec.MeasureIterations = 1000
-	req := BatchRequest{Workload: &spec, Variants: make([]BatchVariant, DefaultMaxBatch)}
+	req := BatchRequest{Workload: spec, Variants: make([]BatchVariant, DefaultMaxBatch)}
 
 	resp, want := post(t, nodes[1].url+"/v1/batch", req)
 	if resp.StatusCode != http.StatusOK {

@@ -13,7 +13,7 @@ func resolveBody(body []byte) (resolved, error) {
 	if err := decodeStrict(body, &req); err != nil {
 		return resolved{}, err
 	}
-	return req.resolve()
+	return req.Workload.resolve()
 }
 
 // FuzzWorkloadSpecResolve feeds arbitrary bodies to the request resolver.
@@ -26,20 +26,21 @@ func resolveBody(body []byte) (resolved, error) {
 func FuzzWorkloadSpecResolve(f *testing.F) {
 	seeds := []string{
 		// Request bodies of the service tests.
-		`{"model": "NoSuchNet"}`,
-		`{"model": "AlexNet v2", "policy": "quantum"}`,
-		`{"model": "AlexNet v2", "mode": "dreaming"}`,
-		`{"model": "AlexNet v2", "env": "envZ"}`,
-		`{"model": "AlexNet v2", "workers": -1}`,
-		`{"model": "AlexNet v2", "workers": 10000}`,
-		`{"model": "AlexNet v2", "wrokers": 2}`,
-		`{"model": `,
+		`{}`,
+		`{"workload": {"model": "NoSuchNet"}}`,
+		`{"workload": {"model": "AlexNet v2", "policy": "quantum"}}`,
+		`{"workload": {"model": "AlexNet v2", "mode": "dreaming"}}`,
+		`{"workload": {"model": "AlexNet v2", "env": "envZ"}}`,
+		`{"workload": {"model": "AlexNet v2", "workers": -1}}`,
+		`{"workload": {"model": "AlexNet v2", "workers": 10000}}`,
+		`{"workload": {"model": "AlexNet v2", "wrokers": 2}}`,
+		`{"workload": {"model": `,
 		`{"workload": {"model": "AlexNet v2"}, "model": "AlexNet v2"}`,
 		`{"workload": {"model": "AlexNet v2", "overrides": {"devices": {"worker:99": {"slow_compute": 2}}}}}`,
-		`{"model": "AlexNet v2", "policy": "tic", "workers": 2, "ps": 1, "seed": 3}`,
 		`{"workload": {"model": "AlexNet v2", "policy": "tic", "workers": 2, "ps": 1, "seed": 3}}`,
-		`{"model": "AlexNet v2", "workers": 2, "measure_iterations": 3, "jitter": 0.05, "seed": 9}`,
 		`{"workload": {"model": "AlexNet v2", "workers": 2, "measure_iterations": 3, "jitter": 0.05, "seed": 9}}`,
+		trailingGarbage,
+		trailingRequest,
 		`{"workload": {"model": "AlexNet v2", "policy": "tic", "seed": 1, "batch_factor": 1, "iterations": 1}}`,
 		`{"workload": {"model": "AlexNet v2", "policy": "tac", "workers": 2, "iterations": 2, "warmup": 3}}`,
 		`{"workload": {"model": "AlexNet v2", "policy": "tic", "workers": 4, "ps": 2, "seed": 5, "measure_iterations": 4,
@@ -75,7 +76,7 @@ func FuzzWorkloadSpecResolve(f *testing.F) {
 			}
 			return
 		}
-		again, err := json.Marshal(ScheduleRequest{Workload: &res.spec})
+		again, err := json.Marshal(ScheduleRequest{Workload: res.spec})
 		if err != nil {
 			t.Fatalf("accepted spec does not re-encode: %v", err)
 		}
@@ -102,7 +103,7 @@ func FuzzWorkloadSpecResolve(f *testing.F) {
 		case 1:
 			alt.Iterations = 0
 		}
-		swapped, err := json.Marshal(ScheduleRequest{Workload: &alt})
+		swapped, err := json.Marshal(ScheduleRequest{Workload: alt})
 		if err != nil {
 			t.Fatalf("swapped spec does not encode: %v", err)
 		}

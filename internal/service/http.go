@@ -109,12 +109,16 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // decodeStrict strictly decodes a JSON body into v; anything the decoder
-// rejects (syntax, unknown fields) is a 400 bad_request.
+// rejects (syntax, unknown fields) and anything but white space after the
+// one JSON value is a 400 bad_request.
 func decodeStrict(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest("invalid request body: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest("invalid request body: trailing data after the request object")
 	}
 	return nil
 }
@@ -150,7 +154,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeStrict(body, &req); err != nil {
 		return err
 	}
-	res, err := req.resolve()
+	res, err := req.Workload.resolve()
 	if err != nil {
 		return err
 	}
@@ -294,7 +298,7 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeStrict(body, &req); err != nil {
 		return err
 	}
-	res, err := req.resolve()
+	res, err := req.Workload.resolve()
 	if err != nil {
 		return err
 	}

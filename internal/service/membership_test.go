@@ -24,10 +24,10 @@ func churnEvents() []MembershipEventSpec {
 // answered from the static fleet's cache entry.
 func TestMembershipDigestDivergesCacheAndPayload(t *testing.T) {
 	svc, ts := newTestServer(t, Options{})
-	quiet := ScheduleRequest{WorkloadSpec: WorkloadSpec{
+	quiet := ScheduleRequest{Workload: WorkloadSpec{
 		Model: "AlexNet v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1, MeasureIterations: 4}}
 	churn := quiet
-	churn.Membership = churnEvents()
+	churn.Workload.Membership = churnEvents()
 
 	resp, quietPayload := post(t, ts.URL+"/v1/schedule", quiet)
 	if resp.StatusCode != http.StatusOK {
@@ -81,7 +81,7 @@ func TestMembershipDigestDivergesCacheAndPayload(t *testing.T) {
 // stays deterministic across identical requests.
 func TestSimulateMembershipRecovery(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	req := SimulateRequest{WorkloadSpec: WorkloadSpec{
+	req := SimulateRequest{Workload: WorkloadSpec{
 		Model: "AlexNet v2", Policy: "tic", Workers: 4, PS: 2, Seed: 1,
 		MeasureIterations: 4, Membership: churnEvents()}}
 
@@ -154,7 +154,7 @@ func TestMembershipValidation(t *testing.T) {
 			Membership: []MembershipEventSpec{{Kind: "worker_leave", Worker: 0}}}, CodeBadRequest},
 	}
 	for _, tc := range cases {
-		resp, payload := post(t, ts.URL+"/v1/schedule", ScheduleRequest{WorkloadSpec: tc.spec})
+		resp, payload := post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: tc.spec})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, payload)
 			continue
@@ -176,7 +176,7 @@ func TestBatchMembershipVariant(t *testing.T) {
 		Seed: 5, MeasureIterations: 4, Membership: churnEvents()}
 	events := churnEvents()
 	req := BatchRequest{
-		Workload: &base,
+		Workload: base,
 		Variants: []BatchVariant{
 			{Label: "churn-base"},
 			{Label: "static", Membership: &[]MembershipEventSpec{}},
@@ -202,7 +202,7 @@ func TestBatchMembershipVariant(t *testing.T) {
 		}
 		// Byte-identity with the single-request twin.
 		single := req.Variants[i].apply(base)
-		sresp, spayload := post(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: &single})
+		sresp, spayload := post(t, ts.URL+"/v1/simulate", SimulateRequest{Workload: single})
 		if sresp.StatusCode != http.StatusOK {
 			t.Fatalf("simulate twin %d: status %d: %s", i, sresp.StatusCode, spayload)
 		}

@@ -41,7 +41,6 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -185,9 +184,6 @@ func New(opts Options) *Service {
 		schedules: cache.NewWith(cache.Config[scheduleKey, *scheduleEntry]{
 			Capacity: opts.CacheCapacity,
 			Policy:   evictionPolicy(opts.CachePolicy),
-			// The policy-visible cost of a schedule entry is its canonical
-			// response payload size — what a size-aware policy ranks victims by.
-			Cost: func(_ scheduleKey, e *scheduleEntry) int64 { return int64(len(e.payload)) },
 		}),
 		endpoints: make(map[string]*endpointMetrics),
 	}
@@ -219,18 +215,13 @@ func evictionPolicy(name string) cache.EvictionPolicy {
 }
 
 // ScheduleRequest is the body of POST /v1/schedule and (by alias) of
-// POST /v1/simulate. The canonical form wraps the workload in an envelope:
+// POST /v1/simulate: the workload in its envelope,
 //
 //	{"workload": {"model": "AlexNet", "policy": "tic", ...}}
 //
-// The pre-envelope flat layout — the same fields at the top level — is
-// still accepted for compatibility and resolves identically. Mixing both
-// forms in one request is rejected.
+// Any other top-level field is a 400 bad_request.
 type ScheduleRequest struct {
-	// Workload is the canonical envelope.
-	Workload *WorkloadSpec `json:"workload,omitempty"`
-	// The embedded spec fields accept the legacy flat layout.
-	WorkloadSpec
+	Workload WorkloadSpec `json:"workload"`
 }
 
 // SimulateRequest is the body of POST /v1/simulate. It is the same envelope
@@ -238,29 +229,6 @@ type ScheduleRequest struct {
 // measure_iterations, jitter, reorder_prob, stragglers, contention) are
 // part of WorkloadSpec and simply ignored by /v1/schedule.
 type SimulateRequest = ScheduleRequest
-
-// spec returns the single WorkloadSpec this request denotes, rejecting
-// requests that mix the envelope with top-level flat fields (silently
-// preferring one would make the other's knobs vanish).
-func (req ScheduleRequest) spec() (WorkloadSpec, error) {
-	if req.Workload == nil {
-		return req.WorkloadSpec, nil
-	}
-	if !reflect.DeepEqual(req.WorkloadSpec, WorkloadSpec{}) {
-		return WorkloadSpec{}, badRequest(`request mixes the "workload" envelope with top-level workload fields; use one form`)
-	}
-	return *req.Workload, nil
-}
-
-// resolve is the one validation/digest path every POST endpoint goes
-// through: envelope normalization, then WorkloadSpec.resolve.
-func (req ScheduleRequest) resolve() (resolved, error) {
-	spec, err := req.spec()
-	if err != nil {
-		return resolved{}, err
-	}
-	return spec.resolve()
-}
 
 // buildCluster returns the cached cluster for the resolved spec, parsing
 // and digesting the graph at most once per residency.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -61,7 +63,7 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // request straight through the library, bypassing the service entirely.
 func directScheduleResult(t *testing.T, req ScheduleRequest) []byte {
 	t.Helper()
-	res, err := req.resolve()
+	res, err := req.Workload.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func compactResult(t *testing.T, payload []byte) []byte {
 
 func TestScheduleEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	req := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
+	req := ScheduleRequest{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
 
 	resp, payload := post(t, ts.URL+"/v1/schedule", req)
 	if resp.StatusCode != http.StatusOK {
@@ -149,8 +151,8 @@ func TestScheduleDigestKeyUnifiesEquivalentRequests(t *testing.T) {
 	// batch_factor 0 and 1 resolve to the same batch; iterations 0 and 1 to
 	// the same graph. Digest keying must land them in one cache slot.
 	svc, ts := newTestServer(t, Options{})
-	a := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1}}
-	b := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1, BatchFactor: 1, Iterations: 1}}
+	a := ScheduleRequest{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1}}
+	b := ScheduleRequest{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Seed: 1, BatchFactor: 1, Iterations: 1}}
 	post(t, ts.URL+"/v1/schedule", a)
 	_, payloadB := post(t, ts.URL+"/v1/schedule", b)
 	var sr ScheduleResponse
@@ -176,10 +178,10 @@ func TestScheduleDigestKeyUnifiesEquivalentRequests(t *testing.T) {
 // fields keeps its historical rendering, so no fleet routing moves.
 func TestOneClusterSlotPerGraph(t *testing.T) {
 	same := []string{
-		`{"model": "AlexNet v2"}`,
-		`{"model": "AlexNet v2", "batch_factor": 1}`,
-		`{"model": "AlexNet v2", "iterations": 1}`,
-		`{"model": "AlexNet v2", "batch_factor": 1.001, "iterations": 1}`,
+		`{"workload": {"model": "AlexNet v2"}}`,
+		`{"workload": {"model": "AlexNet v2", "batch_factor": 1}}`,
+		`{"workload": {"model": "AlexNet v2", "iterations": 1}}`,
+		`{"workload": {"model": "AlexNet v2", "batch_factor": 1.001, "iterations": 1}}`,
 	}
 	svc, ts := newTestServer(t, Options{})
 	var key string
@@ -206,8 +208,8 @@ func TestOneClusterSlotPerGraph(t *testing.T) {
 	}
 
 	for _, body := range []string{
-		`{"model": "AlexNet v2", "batch_factor": 2}`,
-		`{"model": "AlexNet v2", "iterations": 2}`,
+		`{"workload": {"model": "AlexNet v2", "batch_factor": 2}}`,
+		`{"workload": {"model": "AlexNet v2", "iterations": 2}}`,
 	} {
 		res, err := resolveBody([]byte(body))
 		if err != nil {
@@ -226,16 +228,20 @@ func TestScheduleValidation(t *testing.T) {
 		body string
 		code string
 	}{
-		{"unknown model", `{"model": "NoSuchNet"}`, CodeUnknownModel},
-		{"unknown policy", `{"model": "AlexNet v2", "policy": "quantum"}`, CodeUnknownPolicy},
-		{"unknown mode", `{"model": "AlexNet v2", "mode": "dreaming"}`, CodeUnknownMode},
-		{"unknown env", `{"model": "AlexNet v2", "env": "envZ"}`, CodeUnknownEnv},
-		{"negative workers", `{"model": "AlexNet v2", "workers": -1}`, CodeBadRequest},
-		{"oversized cluster", `{"model": "AlexNet v2", "workers": 10000}`, CodeBadRequest},
-		{"unknown field", `{"model": "AlexNet v2", "wrokers": 2}`, CodeBadRequest},
-		{"malformed json", `{"model": `, CodeBadRequest},
+		{"unknown model", `{"workload": {"model": "NoSuchNet"}}`, CodeUnknownModel},
+		{"empty object", `{}`, CodeUnknownModel},
+		{"unknown policy", `{"workload": {"model": "AlexNet v2", "policy": "quantum"}}`, CodeUnknownPolicy},
+		{"unknown mode", `{"workload": {"model": "AlexNet v2", "mode": "dreaming"}}`, CodeUnknownMode},
+		{"unknown env", `{"workload": {"model": "AlexNet v2", "env": "envZ"}}`, CodeUnknownEnv},
+		{"negative workers", `{"workload": {"model": "AlexNet v2", "workers": -1}}`, CodeBadRequest},
+		{"oversized cluster", `{"workload": {"model": "AlexNet v2", "workers": 10000}}`, CodeBadRequest},
+		{"unknown field", `{"workload": {"model": "AlexNet v2", "wrokers": 2}}`, CodeBadRequest},
+		{"malformed json", `{"workload": {"model": `, CodeBadRequest},
 		{"mixed envelope and flat", `{"workload": {"model": "AlexNet v2"}, "model": "AlexNet v2"}`, CodeBadRequest},
+		{"flat body", `{"model": "AlexNet v2"}`, CodeBadRequest},
 		{"bad override key", `{"workload": {"model": "AlexNet v2", "overrides": {"devices": {"worker:99": {"slow_compute": 2}}}}}`, CodeBadRequest},
+		{"trailing garbage", trailingGarbage, CodeBadRequest},
+		{"second request object", trailingRequest, CodeBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/schedule", "application/json", strings.NewReader(tc.body))
@@ -289,44 +295,104 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
-// The pre-envelope flat request layout and the canonical workload envelope
-// must resolve to byte-identical responses.
+// Bodies with data after the request object: both were once served as if
+// the data were not there.
+const (
+	trailingGarbage = `{"workload":{"model":"AlexNet v2"}} trailing garbage`
+	trailingRequest = `{"workload":{"model":"AlexNet v2"}}{"workload":{"model":"VGG-16"}}`
+)
+
+// TestTrailingDataIsBadRequest requires data after the request object to
+// get the structured 400 on every POST endpoint that reads a body, and a
+// trailing newline to stay legal.
+func TestTrailingDataIsBadRequest(t *testing.T) {
+	nodes := startTestFleet(t, 2)
+	postRaw := func(path, body string) (*http.Response, []byte) {
+		resp, err := http.Post(nodes[0].url+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		payload, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, payload
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/schedule", `{"workload": {"model": "AlexNet v2"}}`},
+		{"/v1/simulate", `{"workload": {"model": "AlexNet v2", "measure_iterations": 1}}`},
+		{"/v1/batch", `{"workload": {"model": "AlexNet v2", "measure_iterations": 1}, "variants": [{}]}`},
+		{"/v1/fleet/warm", `{"workloads": [{"model": "AlexNet v2"}]}`},
+	} {
+		for _, trailing := range []string{" trailing garbage", tc.body, "]"} {
+			resp, payload := postRaw(tc.path, tc.body+trailing)
+			var e ErrorResponse
+			if err := json.Unmarshal(payload, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeBadRequest {
+				t.Errorf("%s with %q after the body: %d %s, want 400 %s", tc.path, trailing, resp.StatusCode, payload, CodeBadRequest)
+			}
+		}
+		if resp, payload := postRaw(tc.path, tc.body+"\n"); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with a trailing newline: %d %s, want 200", tc.path, resp.StatusCode, payload)
+		}
+	}
+}
+
+// corpusEntry returns a committed corpus request and, for a full entry,
+// the response bytes it got when the corpus was generated.
+func corpusEntry(t *testing.T, name string) (corpusRequest, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(corpusDir, "requests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []corpusRequest
+	if err := json.Unmarshal(raw, &reqs); err != nil {
+		t.Fatal(err)
+	}
+	for _, rq := range reqs {
+		if rq.Name == name {
+			golden, err := os.ReadFile(filepath.Join(corpusDir, name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rq, golden
+		}
+	}
+	t.Fatalf("corpus has no entry %q", name)
+	return corpusRequest{}, nil
+}
+
+// TestLegacyFlatRequestCompatibility pins the removal of the pre-envelope
+// flat layout, which spelled the workload fields at the top level: a flat
+// body is a 400 bad_request on every endpoint that takes a workload, and
+// its envelope twin still gets the bytes the corpus committed for it.
 func TestLegacyFlatRequestCompatibility(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	flat := `{"model": "AlexNet v2", "policy": "tic", "workers": 2, "ps": 1, "seed": 3}`
-	envelope := `{"workload": {"model": "AlexNet v2", "policy": "tic", "workers": 2, "ps": 1, "seed": 3}}`
-
-	respA, payloadA := post(t, ts.URL+"/v1/schedule", json.RawMessage(flat))
-	respB, payloadB := post(t, ts.URL+"/v1/schedule", json.RawMessage(envelope))
-	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
-		t.Fatalf("status %d / %d: %s %s", respA.StatusCode, respB.StatusCode, payloadA, payloadB)
-	}
-	if !bytes.Equal(compactResult(t, payloadA), compactResult(t, payloadB)) {
-		t.Error("flat and envelope forms returned different results")
-	}
-
-	// Same equivalence on /v1/simulate, protocol knobs included.
-	flatSim := `{"model": "AlexNet v2", "workers": 2, "measure_iterations": 3, "jitter": 0.05, "seed": 9}`
-	envSim := `{"workload": {"model": "AlexNet v2", "workers": 2, "measure_iterations": 3, "jitter": 0.05, "seed": 9}}`
-	_, simA := post(t, ts.URL+"/v1/simulate", json.RawMessage(flatSim))
-	_, simB := post(t, ts.URL+"/v1/simulate", json.RawMessage(envSim))
-	var a, b SimulateResponse
-	if err := json.Unmarshal(simA, &a); err != nil {
-		t.Fatalf("decode %s: %v", simA, err)
-	}
-	if err := json.Unmarshal(simB, &b); err != nil {
-		t.Fatalf("decode %s: %v", simB, err)
-	}
-	ab, _ := json.Marshal(a.Result)
-	bb, _ := json.Marshal(b.Result)
-	if !bytes.Equal(ab, bb) {
-		t.Errorf("flat and envelope simulate results differ:\n%s\n%s", ab, bb)
+	for _, name := range []string{"schedule-tic", "simulate-tic", "batch-ranked"} {
+		rq, golden := corpusEntry(t, name)
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(rq.Body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(fields["workload"], &fields); err != nil {
+			t.Fatal(err)
+		}
+		delete(fields, "workload")
+		resp, payload := post(t, ts.URL+rq.Path, fields)
+		var e ErrorResponse
+		if err := json.Unmarshal(payload, &e); err != nil || resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeBadRequest {
+			t.Errorf("%s flat body: %d %s, want 400 %s", rq.Path, resp.StatusCode, payload, CodeBadRequest)
+		}
+		if resp, payload := post(t, ts.URL+rq.Path, rq.Body); resp.StatusCode != http.StatusOK || !bytes.Equal(payload, golden) {
+			t.Errorf("%s envelope twin: %d, bytes differ from %s.golden:\n%s", rq.Path, resp.StatusCode, name, corpusDiff(payload, golden))
+		}
 	}
 }
 
 func TestSimulateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	req := SimulateRequest{WorkloadSpec: WorkloadSpec{
+	req := SimulateRequest{Workload: WorkloadSpec{
 		Model: "AlexNet v2", Policy: "tic", Workers: 2, Seed: 7,
 		WarmupIterations:  1,
 		MeasureIterations: 3,
@@ -368,7 +434,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	// Baseline (none) must differ from tic in schedule digest and carry no
 	// order.
 	base := req
-	base.Policy = "none"
+	base.Workload.Policy = "none"
 	_, payload3 := post(t, ts.URL+"/v1/simulate", base)
 	var sim3 SimulateResponse
 	if err := json.Unmarshal(payload3, &sim3); err != nil {
@@ -409,7 +475,7 @@ func TestPoliciesHealthzMetrics(t *testing.T) {
 	}
 
 	// Drive one schedule request, then check the metrics reflect it.
-	post(t, ts.URL+"/v1/schedule", ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2"}})
+	post(t, ts.URL+"/v1/schedule", ScheduleRequest{Workload: WorkloadSpec{Model: "AlexNet v2"}})
 	resp, payload = get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
@@ -441,7 +507,7 @@ func TestMetricsEvictionCounters(t *testing.T) {
 	for _, policy := range []string{"tic", "critical-path", "fifo", "random"} {
 		for seed := int64(1); seed <= 2; seed++ {
 			resp, payload := post(t, ts.URL+"/v1/schedule",
-				ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: policy, Seed: seed}})
+				ScheduleRequest{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: policy, Seed: seed}})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("schedule %s/%d: %d %s", policy, seed, resp.StatusCode, payload)
 			}
@@ -482,11 +548,11 @@ func TestConcurrentCoalescing(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	hot := ScheduleRequest{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
+	hot := ScheduleRequest{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 2, PS: 1, Seed: 1}}
 	cold := []ScheduleRequest{
-		{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "critical-path", Workers: 2, PS: 1, Seed: 1}},
-		{WorkloadSpec: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 3, PS: 1, Seed: 1}},
-		{WorkloadSpec: WorkloadSpec{Model: "Inception v1", Policy: "tic", Workers: 2, PS: 1, Seed: 1}},
+		{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: "critical-path", Workers: 2, PS: 1, Seed: 1}},
+		{Workload: WorkloadSpec{Model: "AlexNet v2", Policy: "tic", Workers: 3, PS: 1, Seed: 1}},
+		{Workload: WorkloadSpec{Model: "Inception v1", Policy: "tic", Workers: 2, PS: 1, Seed: 1}},
 	}
 	expected := map[string][]byte{}
 	for _, r := range append([]ScheduleRequest{hot}, cold...) {
@@ -562,7 +628,7 @@ func TestConcurrentCoalescing(t *testing.T) {
 }
 
 func requestLabel(r ScheduleRequest) string {
-	return fmt.Sprintf("%s/%s/w%d", r.Model, r.Policy, r.Workers)
+	return fmt.Sprintf("%s/%s/w%d", r.Workload.Model, r.Workload.Policy, r.Workload.Workers)
 }
 
 // TestNewPanicsOnUnknownCachePolicy pins the documented New contract:

@@ -11,7 +11,7 @@ import (
 // payload.
 func scheduleResultBytes(t *testing.T, url string, spec WorkloadSpec) []byte {
 	t.Helper()
-	resp, payload := post(t, url+"/v1/schedule", ScheduleRequest{Workload: &spec})
+	resp, payload := post(t, url+"/v1/schedule", ScheduleRequest{Workload: spec})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, payload)
 	}
@@ -46,7 +46,7 @@ func TestWarmupSplitsOnlyOracleSlots(t *testing.T) {
 		base := WorkloadSpec{Model: "AlexNet v2", Workers: 2, Policy: tc.policy, MeasureIterations: 2}
 		zero, three := 0, 3
 		resp, payload, br := postBatch(t, ts.URL, BatchRequest{
-			Workload: &base,
+			Workload: base,
 			Variants: []BatchVariant{{Warmup: &zero}, {Warmup: &three}},
 		})
 		if resp.StatusCode != http.StatusOK {

@@ -166,7 +166,7 @@ func Generate(spec GeneratorSpec) (*Workload, error) {
 // cycles models fastest, then policies, then cluster sizes; further
 // distinctness comes from the request seed, so the population is unbounded.
 // Each config carries a fixed pseudo response cost drawn once here — the
-// policy-visible size a size-aware cache ranks by.
+// size a cost-budgeted cache charges for it.
 func makeConfigs(spec GeneratorSpec, rng *rand.Rand) []Event {
 	workerSizes := []int{1, 2, 4}
 	lm, lp, lw := len(spec.Models), len(spec.Policies), len(workerSizes)

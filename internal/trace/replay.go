@@ -26,12 +26,11 @@ type ReplayRow struct {
 //
 // The replay is sequential, so policy decisions are a pure function of
 // (trace, policy, capacity) — and the one access stream every policy sees
-// is identical. Capacity counts entries (every entry costs one budget
-// unit); the trace's per-key Cost is still surfaced to the policy, which
-// is how size-aware eviction stays differentiated. The "belady" policy is
-// primed with the trace's full key sequence, making it the offline optimum
-// the online policies are measured against: for any trace and capacity
-// its hit rate is an upper bound.
+// is identical. Capacity counts entries, and no policy ranks by the
+// trace's per-key Cost, so the replay does not read it. The "belady"
+// policy is primed with the trace's full key sequence, making it the
+// offline optimum the online policies are measured against: for any trace
+// and capacity its hit rate is an upper bound.
 func ReplayCache(w *Workload, policy string, capacity int) (ReplayRow, error) {
 	row := ReplayRow{Policy: policy, Capacity: capacity}
 	if w == nil {
@@ -53,15 +52,13 @@ func ReplayCache(w *Workload, policy string, capacity int) (ReplayRow, error) {
 	}
 	if policy == cache.Belady {
 		// The oracle needs the future: prime it with the full access
-		// sequence instead of taking the registry's unprimed instance.
+		// sequence instead of taking the table's unprimed instance.
 		p = cache.NewBelady(w.Keys())
 	}
-	costs := w.Costs()
 	c := cache.NewWith(cache.Config[string, string]{
 		Capacity: capacity,
 		Policy:   p,
 		KeyID:    func(k string) string { return k },
-		Cost:     func(k string, _ string) int64 { return costs[k] },
 	})
 	for _, e := range w.Events {
 		k := e.Key()

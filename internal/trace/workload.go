@@ -46,8 +46,8 @@ type Event struct {
 	Policy string `json:"policy,omitempty"`
 	// Seed is the request seed.
 	Seed int64 `json:"seed,omitempty"`
-	// Cost is the policy-visible response-size estimate in bytes, fixed per
-	// distinct Key by the generator. Size-aware eviction ranks by it.
+	// Cost is the response-size estimate in bytes, fixed per distinct Key
+	// by the generator, for byte-budgeted caches.
 	Cost int64 `json:"cost,omitempty"`
 }
 
@@ -114,15 +114,6 @@ func (w *Workload) DistinctKeys() int {
 		seen[e.Key()] = struct{}{}
 	}
 	return len(seen)
-}
-
-// Costs returns the per-key cost map (canonical key → policy-visible cost).
-func (w *Workload) Costs() map[string]int64 {
-	costs := make(map[string]int64)
-	for _, e := range w.Events {
-		costs[e.Key()] = e.Cost
-	}
-	return costs
 }
 
 // Models returns the distinct model names the trace requests, sorted.

@@ -15,8 +15,8 @@
 //   - ModelSpec: the ten Table 1 DNN models (internal/model)
 //   - Platform / Oracle / Tracer: cost model and time oracle (internal/timing)
 //   - TIC / TAC / Efficiency / Speedup: the paper's contribution (internal/core)
-//   - Policy / NewPolicy / SchedulingPolicies: the pluggable ordering-policy
-//     registry (internal/sched) — TIC and TAC plus random, fifo, revtopo,
+//   - Policy / NewPolicy / SchedulingPolicies: the ordering-policy table
+//     (internal/sched) — TIC and TAC plus random, fifo, revtopo,
 //     smallest-first and critical-path baselines
 //   - Simulate: multi-resource discrete-event execution (internal/sim)
 //   - BuildCluster: Model-Replica + PS graphs and iteration protocol
@@ -43,7 +43,6 @@ package tictac
 import (
 	"io"
 
-	"tictac/internal/cache"
 	"tictac/internal/cluster"
 	"tictac/internal/core"
 	"tictac/internal/fleet"
@@ -53,7 +52,6 @@ import (
 	"tictac/internal/service"
 	"tictac/internal/sim"
 	"tictac/internal/timing"
-	"tictac/internal/trace"
 )
 
 // Re-exported types. Aliases keep the public surface in one import while
@@ -65,8 +63,6 @@ type (
 	Op = graph.Op
 	// OpKind classifies ops (Compute, Recv, Send, ...).
 	OpKind = graph.Kind
-	// GraphStats summarizes a graph.
-	GraphStats = graph.Stats
 
 	// ModelSpec describes one Table 1 model.
 	ModelSpec = model.Spec
@@ -157,9 +153,6 @@ type (
 	// transient straggler and contention windows.
 	ServiceStragglerSpec  = service.StragglerSpec
 	ServiceContentionSpec = service.ContentionSpec
-	// ServiceErrorResponse is the uniform error envelope
-	// {"error":{"code","message"}} every endpoint emits on failure.
-	ServiceErrorResponse = service.ErrorResponse
 
 	// FleetMember identifies one tictacd node in a sharded fleet.
 	FleetMember = fleet.Member
@@ -170,22 +163,6 @@ type (
 	// consistent-hash ring; pass it to ServiceOptions.Fleet to make a
 	// SchedulingService route workloads to their home nodes.
 	FleetNode = fleet.Node
-	// FleetView is a node's live view of the fleet: per-peer status and
-	// forwarding counters, served on GET /v1/fleet and inside /metrics.
-	FleetView = fleet.View
-
-	// CacheEvictionPolicy is the pluggable eviction-policy interface behind
-	// the service's caches; register implementations with
-	// RegisterCachePolicy (see docs/cache-policies.md).
-	CacheEvictionPolicy = cache.EvictionPolicy
-
-	// WorkloadTrace is a versioned, replayable request trace (see
-	// docs/cache-policies.md for the format).
-	WorkloadTrace = trace.Workload
-	// WorkloadTraceEvent is one arrival in a WorkloadTrace.
-	WorkloadTraceEvent = trace.Event
-	// TraceGeneratorSpec parameterizes GenerateWorkloadTrace.
-	TraceGeneratorSpec = trace.GeneratorSpec
 )
 
 // Op kinds.
@@ -214,7 +191,7 @@ const (
 
 // Scheduling-policy selectors for Cluster.ComputeSchedule and NewPolicy.
 // PolicyNone yields a nil schedule (the unscheduled baseline); the rest
-// resolve against the internal/sched registry.
+// resolve against the internal/sched policy table.
 const (
 	PolicyNone          = sched.None
 	PolicyTIC           = sched.TIC
@@ -226,11 +203,11 @@ const (
 	PolicyCriticalPath  = sched.CriticalPath
 )
 
-// SchedulingPolicies returns every registered policy name in canonical
+// SchedulingPolicies returns every scheduling-policy name in canonical
 // order.
 func SchedulingPolicies() []string { return sched.Names() }
 
-// NewPolicy instantiates a registered scheduling policy by name. seed feeds
+// NewPolicy instantiates a scheduling policy by name. seed feeds
 // stochastic policies (random); deterministic policies ignore it.
 func NewPolicy(name string, seed int64) (Policy, error) { return sched.New(name, seed) }
 
@@ -319,36 +296,3 @@ func NewService(opts ServiceOptions) *SchedulingService { return service.New(opt
 // to run the health probe loop. See docs/fleet.md for ring semantics, the
 // health state machine and the drain protocol.
 func NewFleetNode(cfg FleetConfig) (*FleetNode, error) { return fleet.NewNode(cfg) }
-
-// CachePolicies returns every registered cache eviction-policy name in
-// registration order.
-func CachePolicies() []string { return cache.Policies() }
-
-// RegisterCachePolicy adds a cache eviction-policy factory under the given
-// name, making it selectable in ServiceOptions.CachePolicy and every
-// replay/shootout surface. It panics on duplicate or empty names.
-func RegisterCachePolicy(name string, f func() CacheEvictionPolicy) {
-	cache.RegisterPolicy(name, f)
-}
-
-// GenerateWorkloadTrace produces a deterministic synthetic request trace
-// (Zipf, diurnal or flash-crowd) for RunServiceReplay.
-func GenerateWorkloadTrace(spec TraceGeneratorSpec) (*WorkloadTrace, error) {
-	return trace.Generate(spec)
-}
-
-// GraphDigest returns a stable content digest of a graph: invariant to
-// construction order, sensitive to any semantic change (op attributes,
-// costs, edges, tags). The service layer keys its schedule cache on it.
-func GraphDigest(g *Graph) string { return core.GraphDigest(g) }
-
-// PlatformDigest returns a stable content digest of a platform cost model.
-func PlatformDigest(p Platform) string { return core.PlatformDigest(p) }
-
-// PlatformMapDigest returns a stable content digest of a heterogeneous
-// cost model (sorted override order; nil digests like an empty marker).
-func PlatformMapDigest(m *PlatformMap) string { return core.PlatformMapDigest(m) }
-
-// ScheduleDigest returns a stable content digest of a schedule (nil = the
-// unscheduled baseline).
-func ScheduleDigest(s *Schedule) string { return core.ScheduleDigest(s) }
