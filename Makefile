@@ -113,4 +113,4 @@ lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-ci: fmt vet doc build test benchmark-test bench
+ci: fmt vet doc build test benchmark-test lint-internal bench

@@ -9,13 +9,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"tictac/internal/bench"
 	"tictac/internal/bench/engine"
-	"tictac/internal/sched"
 )
 
 // appConfig is the parsed CLI configuration.
@@ -39,12 +36,6 @@ func parseArgs(args []string, stderr io.Writer) (*appConfig, error) {
 		seed       = fs.Int64("seed", 1, "base random seed")
 		jobs       = fs.Int("jobs", 0, "experiment engine worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
 		jsonPath   = fs.String("json", "", "write machine-readable results to this file ('-' = stdout)")
-		policies   = fs.String("policies", "", "comma-separated scheduling policies for the shootout and hetero experiments (default: all registered; known: "+strings.Join(sched.Names(), ", ")+")")
-		severities = fs.String("hetero-severities", "", "comma-separated slow-down factors (> 1) for the hetero experiment, e.g. '2,4,8' (default: 2,4)")
-		scenarios  = fs.String("hetero-scenarios", "", "comma-separated hetero scenarios (default: all; known: "+strings.Join(bench.HeteroScenarioNames(), ", ")+")")
-		churnW     = fs.String("churn-workers", "", "comma-separated fleet sizes (>= 8) for the churn experiment, e.g. '16,64' (default: 16,64,256)")
-		churnRates = fs.String("churn-rates", "", "comma-separated event rates in (0, 1] for the churn experiment, e.g. '0.25,1' (default: 0.25,1)")
-		churnScen  = fs.String("churn-scenarios", "", "comma-separated churn scenarios (default: all; known: "+strings.Join(bench.ChurnScenarioNames(), ", ")+")")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-GC) to this file when the run completes")
 	)
@@ -67,129 +58,6 @@ func parseArgs(args []string, stderr io.Writer) (*appConfig, error) {
 	}
 	opts.Seed = *seed
 	opts.Jobs = *jobs
-	if *policies != "" {
-		seen := map[string]bool{}
-		for _, name := range strings.Split(*policies, ",") {
-			name = strings.TrimSpace(strings.ToLower(name))
-			if name == "" || seen[name] {
-				continue
-			}
-			if _, err := sched.New(name, opts.Seed); err != nil {
-				return nil, err
-			}
-			seen[name] = true
-			opts.Policies = append(opts.Policies, name)
-		}
-		if opts.Policies == nil {
-			return nil, fmt.Errorf("-policies lists no policy names")
-		}
-	}
-	if *severities != "" {
-		for _, field := range strings.Split(*severities, ",") {
-			field = strings.TrimSpace(field)
-			if field == "" {
-				continue
-			}
-			k, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-hetero-severities: %q is not a number", field)
-			}
-			if k <= 1 {
-				return nil, fmt.Errorf("-hetero-severities: factor %v must be > 1", k)
-			}
-			opts.HeteroSeverities = append(opts.HeteroSeverities, k)
-		}
-		if opts.HeteroSeverities == nil {
-			return nil, fmt.Errorf("-hetero-severities lists no factors")
-		}
-	}
-	if *scenarios != "" {
-		known := map[string]bool{}
-		for _, s := range bench.HeteroScenarioNames() {
-			known[s] = true
-		}
-		seen := map[string]bool{}
-		for _, name := range strings.Split(*scenarios, ",") {
-			name = strings.TrimSpace(strings.ToLower(name))
-			if name == "" || seen[name] {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-hetero-scenarios: unknown scenario %q (known: %s)",
-					name, strings.Join(bench.HeteroScenarioNames(), ", "))
-			}
-			seen[name] = true
-			opts.HeteroScenarios = append(opts.HeteroScenarios, name)
-		}
-		if opts.HeteroScenarios == nil {
-			return nil, fmt.Errorf("-hetero-scenarios lists no scenarios")
-		}
-	}
-	if *churnW != "" {
-		seen := map[int]bool{}
-		for _, field := range strings.Split(*churnW, ",") {
-			field = strings.TrimSpace(field)
-			if field == "" {
-				continue
-			}
-			w, err := strconv.Atoi(field)
-			if err != nil {
-				return nil, fmt.Errorf("-churn-workers: %q is not an integer", field)
-			}
-			if w < 8 {
-				return nil, fmt.Errorf("-churn-workers: fleet size %d must be >= 8", w)
-			}
-			if seen[w] {
-				continue
-			}
-			seen[w] = true
-			opts.ChurnWorkers = append(opts.ChurnWorkers, w)
-		}
-		if opts.ChurnWorkers == nil {
-			return nil, fmt.Errorf("-churn-workers lists no fleet sizes")
-		}
-	}
-	if *churnRates != "" {
-		for _, field := range strings.Split(*churnRates, ",") {
-			field = strings.TrimSpace(field)
-			if field == "" {
-				continue
-			}
-			r, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-churn-rates: %q is not a number", field)
-			}
-			if r <= 0 || r > 1 {
-				return nil, fmt.Errorf("-churn-rates: rate %v outside (0, 1]", r)
-			}
-			opts.ChurnRates = append(opts.ChurnRates, r)
-		}
-		if opts.ChurnRates == nil {
-			return nil, fmt.Errorf("-churn-rates lists no rates")
-		}
-	}
-	if *churnScen != "" {
-		known := map[string]bool{}
-		for _, s := range bench.ChurnScenarioNames() {
-			known[s] = true
-		}
-		seen := map[string]bool{}
-		for _, name := range strings.Split(*churnScen, ",") {
-			name = strings.TrimSpace(strings.ToLower(name))
-			if name == "" || seen[name] {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-churn-scenarios: unknown scenario %q (known: %s)",
-					name, strings.Join(bench.ChurnScenarioNames(), ", "))
-			}
-			seen[name] = true
-			opts.ChurnScenarios = append(opts.ChurnScenarios, name)
-		}
-		if opts.ChurnScenarios == nil {
-			return nil, fmt.Errorf("-churn-scenarios lists no scenarios")
-		}
-	}
 	return &appConfig{
 		experiments: exps,
 		opts:        opts,

@@ -67,64 +67,6 @@ func TestParseArgsRejectsAllPlusExplicit(t *testing.T) {
 	}
 }
 
-func TestParseArgsPolicies(t *testing.T) {
-	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{"-policies", " TIC ,fifo,tic"}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Case-insensitive, trimmed, and deduplicated.
-	if len(cfg.opts.Policies) != 2 || cfg.opts.Policies[0] != "tic" || cfg.opts.Policies[1] != "fifo" {
-		t.Fatalf("policies = %v", cfg.opts.Policies)
-	}
-	if _, err := parseArgs([]string{"-policies", "tic,bogus"}, &stderr); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := parseArgs([]string{"-policies", " , "}, &stderr); err == nil {
-		t.Fatal("want error for empty policy list")
-	}
-}
-
-func TestParseArgsHeteroFlags(t *testing.T) {
-	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{
-		"-hetero-severities", " 2, 8 ",
-		"-hetero-scenarios", " Straggler ,contention,straggler",
-	}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.opts.HeteroSeverities) != 2 || cfg.opts.HeteroSeverities[0] != 2 || cfg.opts.HeteroSeverities[1] != 8 {
-		t.Fatalf("severities = %v", cfg.opts.HeteroSeverities)
-	}
-	// Case-insensitive, trimmed, deduplicated.
-	want := []string{"straggler", "contention"}
-	if len(cfg.opts.HeteroScenarios) != 2 || cfg.opts.HeteroScenarios[0] != want[0] || cfg.opts.HeteroScenarios[1] != want[1] {
-		t.Fatalf("scenarios = %v", cfg.opts.HeteroScenarios)
-	}
-	// Defaults stay nil so bench picks its own sweep.
-	cfg, err = parseArgs(nil, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.opts.HeteroSeverities != nil || cfg.opts.HeteroScenarios != nil {
-		t.Fatalf("unset flags populated options: %+v", cfg.opts)
-	}
-	// Rejections: non-numeric, <= 1, unknown scenario, empty lists.
-	for _, args := range [][]string{
-		{"-hetero-severities", "fast"},
-		{"-hetero-severities", "1"},
-		{"-hetero-severities", "0.5"},
-		{"-hetero-severities", " , "},
-		{"-hetero-scenarios", "meteor-strike"},
-		{"-hetero-scenarios", " , "},
-	} {
-		if _, err := parseArgs(args, &stderr); err == nil {
-			t.Fatalf("args %v accepted", args)
-		}
-	}
-}
-
 func TestParseArgsFullJobsJSONSeed(t *testing.T) {
 	var stderr bytes.Buffer
 	cfg, err := parseArgs([]string{"-full", "-jobs", "4", "-json", "out.json", "-seed", "7"}, &stderr)

@@ -9,7 +9,8 @@
 //	tictac-bench -json out.json     # machine-readable rows + timings
 //
 // Experiments: table1, uniqueorders, fig7, fig8, fig9, fig10, fig11,
-// fig12, fig13, allreduce, pipeline, ablations.
+// fig12, fig13, allreduce, pipeline, shootout, cachepolicy, hetero, churn,
+// ablations.
 //
 // Every experiment fans its independent points out across a worker pool
 // (-jobs, default GOMAXPROCS); results are bit-identical at every pool

@@ -15,6 +15,8 @@ import (
 	"strings"
 
 	"tictac"
+	"tictac/internal/model"
+	"tictac/internal/timing"
 	"tictac/internal/trace"
 )
 
@@ -38,13 +40,13 @@ func main() {
 	if !ok {
 		fatalf("unknown model %q", *modelName)
 	}
-	m := tictac.Training
-	if strings.HasPrefix(strings.ToLower(*mode), "inf") {
-		m = tictac.Inference
+	m, err := model.ParseMode(*mode)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	platform := tictac.EnvG()
-	if strings.EqualFold(*env, "envC") {
-		platform = tictac.EnvC()
+	platform, err := timing.EnvByName(*env)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	c, err := tictac.BuildCluster(tictac.ClusterConfig{
 		Model: spec, Mode: m, Workers: *workers, PS: *ps,

@@ -15,6 +15,8 @@ import (
 	"strings"
 
 	"tictac"
+	"tictac/internal/model"
+	"tictac/internal/timing"
 )
 
 func main() {
@@ -44,14 +46,13 @@ func main() {
 	if !ok {
 		fatalf("unknown model %q (use -list)", *modelName)
 	}
-	var m tictac.Mode
-	switch strings.ToLower(*mode) {
-	case "training", "train":
-		m = tictac.Training
-	case "inference", "infer":
-		m = tictac.Inference
-	default:
-		fatalf("unknown mode %q", *mode)
+	m, err := model.ParseMode(*mode)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	platform, err := timing.EnvByName(*env)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	g, err := tictac.BuildWorkerGraph(spec, m, spec.Batch, "worker:0")
 	if err != nil {
@@ -61,10 +62,6 @@ func main() {
 	p, err := tictac.NewPolicy(*policy, *seed)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	platform := tictac.EnvG()
-	if strings.EqualFold(*env, "envC") {
-		platform = tictac.EnvC()
 	}
 	sched, err := p.Order(g, &platform)
 	if err != nil {

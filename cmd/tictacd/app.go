@@ -23,7 +23,6 @@ type app struct {
 	addr          string
 	cacheCapacity int
 	cachePolicy   string
-	latencyWindow int
 	maxBatch      int
 	batchJobs     int
 	readTimeout   time.Duration
@@ -45,7 +44,6 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 	fs.StringVar(&a.addr, "addr", ":8080", "listen address for daemon mode")
 	fs.IntVar(&a.cacheCapacity, "cache-capacity", service.DefaultCacheCapacity, "resident entries per cache (clusters, schedules)")
 	fs.StringVar(&a.cachePolicy, "cache-policy", cache.LRU, "cache eviction policy ("+strings.Join(cache.Policies(), "|")+")")
-	fs.IntVar(&a.latencyWindow, "latency-window", 0, "latency sample window for /metrics percentiles (0 = default)")
 	fs.IntVar(&a.maxBatch, "max-batch", service.DefaultMaxBatch, "max variants per /v1/batch request (above = 413 batch_too_large)")
 	fs.IntVar(&a.batchJobs, "batch-jobs", 0, "worker-pool width for /v1/batch fan-out (0 = GOMAXPROCS; results are identical at any width)")
 	fs.DurationVar(&a.readTimeout, "read-timeout", 30*time.Second, "max duration for reading an entire request including the body (0 = unlimited)")
@@ -55,7 +53,7 @@ func parseFlags(args []string, stderr io.Writer) (*app, error) {
 	fs.StringVar(&a.nodeID, "node-id", "", "fleet: this node's stable identity (required with -fleet; must appear in -peers)")
 	fs.StringVar(&a.peers, "peers", "", "fleet: full membership as id=url,id=url,... including this node")
 	fs.DurationVar(&a.probeInterval, "probe-interval", time.Second, "fleet: peer health-probe interval")
-	fs.DurationVar(&a.hedgeTimeout, "hedge-timeout", 250*time.Millisecond, "fleet: hedge a forwarded request to the next replica after this long without a response")
+	fs.DurationVar(&a.hedgeTimeout, "hedge-timeout", fleet.DefaultHedgeTimeout, "fleet: hedge a forwarded request to the next replica after this long without a response")
 	fs.DurationVar(&a.drainTimeout, "drain-timeout", 30*time.Second, "fleet: max time to stream hot cache entries to successors on SIGTERM before exiting anyway")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -111,7 +109,6 @@ func (a *app) options() service.Options {
 	return service.Options{
 		CacheCapacity: a.cacheCapacity,
 		CachePolicy:   a.cachePolicy,
-		LatencyWindow: a.latencyWindow,
 		MaxBatch:      a.maxBatch,
 		BatchJobs:     a.batchJobs,
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"math"
 
@@ -51,10 +50,15 @@ const (
 // scenarioStable tags the event-free normalization anchor rows.
 const scenarioStable = "stable"
 
-// ChurnScenarioNames returns the selectable churn scenarios in order.
-func ChurnScenarioNames() []string {
-	return []string{ScenarioWorkerChurn, ScenarioWorkerFail, ScenarioPSFail}
-}
+// churnScenarios lists the churn scenarios in presentation order.
+var churnScenarios = []string{ScenarioWorkerChurn, ScenarioWorkerFail, ScenarioPSFail}
+
+// churnWorkers are the fleet sizes the sweep runs. Each is at least 8, so
+// the event script never empties the fleet or re-fails a degraded shard.
+var churnWorkers = []int{16, 64, 256}
+
+// churnRates are the event rates in strikes per protocol iteration.
+var churnRates = []float64{0.25, 1}
 
 // ChurnRow is one (model, policy, scenario, workers, rate) point of the
 // churn sweep.
@@ -114,88 +118,13 @@ func churnModels(o Options) ([]model.Spec, error) {
 
 // churnPolicies resolves the policy sweep: the paper's headline policy
 // against the stock-TensorFlow stand-in by default (a full-registry sweep
-// at 256 workers is a -policies opt-in), or the subset named by
+// at 256 workers is too slow to be the default), or the subset named by
 // Options.Policies (validated like the shootout's).
 func churnPolicies(o Options) ([]string, error) {
 	if o.Policies == nil {
 		o.Policies = []string{sched.TIC, sched.Random}
 	}
 	return shootoutPolicies(o)
-}
-
-// churnWorkers resolves, validates and deduplicates the fleet-size sweep.
-// Fleets below 8 workers are rejected: the event script's rotation
-// guarantees (never emptying the fleet, never re-failing a degraded shard,
-// never striking worker 0) need at least 7 strikable workers and 2 shards.
-func churnWorkers(o Options) ([]int, error) {
-	sizes := o.ChurnWorkers
-	if sizes == nil {
-		sizes = []int{16, 64, 256}
-	}
-	var out []int
-	seen := map[int]bool{}
-	for _, w := range sizes {
-		if w < 8 {
-			return nil, fmt.Errorf("bench: churn: fleet size %d must be >= 8", w)
-		}
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		out = append(out, w)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("bench: churn: empty fleet-size list")
-	}
-	return out, nil
-}
-
-// churnRates resolves, validates and deduplicates the strike-rate sweep.
-func churnRates(o Options) ([]float64, error) {
-	rates := o.ChurnRates
-	if rates == nil {
-		rates = []float64{0.25, 1}
-	}
-	var out []float64
-	seen := map[float64]bool{}
-	for _, r := range rates {
-		if r <= 0 || r > 1 {
-			return nil, fmt.Errorf("bench: churn: rate %v outside (0, 1]", r)
-		}
-		if seen[r] {
-			continue
-		}
-		seen[r] = true
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// churnScenarios resolves and validates the scenario list.
-func churnScenarios(o Options) ([]string, error) {
-	if o.ChurnScenarios == nil {
-		return ChurnScenarioNames(), nil
-	}
-	known := map[string]bool{}
-	for _, s := range ChurnScenarioNames() {
-		known[s] = true
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, s := range o.ChurnScenarios {
-		if !known[s] {
-			return nil, fmt.Errorf("bench: churn: unknown scenario %q (known: %v)", s, ChurnScenarioNames())
-		}
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("bench: churn: empty scenario list")
-	}
-	return out, nil
 }
 
 // churnPS is the parameter-server count for a churn fleet (the paper's
@@ -318,25 +247,13 @@ func Churn(o Options) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers, err := churnWorkers(o)
-	if err != nil {
-		return nil, err
-	}
-	rates, err := churnRates(o)
-	if err != nil {
-		return nil, err
-	}
-	scenarios, err := churnScenarios(o)
-	if err != nil {
-		return nil, err
-	}
 	var points []churnPoint
 	for _, spec := range specs {
-		for _, w := range workers {
+		for _, w := range churnWorkers {
 			for _, policy := range policies {
 				points = append(points, churnPoint{spec, policy, scenarioStable, w, 0})
-				for _, scenario := range scenarios {
-					for _, rate := range rates {
+				for _, scenario := range churnScenarios {
+					for _, rate := range churnRates {
 						points = append(points, churnPoint{spec, policy, scenario, w, rate})
 					}
 				}
@@ -368,7 +285,7 @@ func Churn(o Options) (*ChurnResult, error) {
 	// Robustness summary per (policy, scenario), across fleets × rates.
 	var summary []ChurnSummary
 	for _, policy := range policies {
-		for _, scenario := range scenarios {
+		for _, scenario := range churnScenarios {
 			logSum, pctSum := 0.0, 0.0
 			n := 0
 			for _, r := range rows {

@@ -8,18 +8,8 @@ import (
 	"tictac/internal/cluster"
 )
 
-// churnQuick is a cheap churn-scale options value: one model, one small
-// fleet, one rate, both default policies.
-func churnQuick() Options {
-	o := Quick()
-	o.Models = []string{"AlexNet v2"}
-	o.ChurnWorkers = []int{8}
-	o.ChurnRates = []float64{0.5}
-	return o
-}
-
 func TestChurnStableAnchorAndRecovery(t *testing.T) {
-	res, err := Churn(churnQuick())
+	res, err := Churn(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +47,14 @@ func TestChurnStableAnchorAndRecovery(t *testing.T) {
 		}
 	}
 	// One stable anchor per (model, policy, workers) triple.
-	if stable != 2 {
-		t.Fatalf("got %d stable rows, want 2", stable)
+	if want := 2 * len(churnWorkers); stable != want {
+		t.Fatalf("got %d stable rows, want %d", stable, want)
 	}
 	if fails == 0 {
 		t.Fatal("no fail-scenario rows")
 	}
-	if len(res.Summary) != 2*len(ChurnScenarioNames()) {
-		t.Fatalf("got %d summary rows, want %d", len(res.Summary), 2*len(ChurnScenarioNames()))
+	if len(res.Summary) != 2*len(churnScenarios) {
+		t.Fatalf("got %d summary rows, want %d", len(res.Summary), 2*len(churnScenarios))
 	}
 	var buf bytes.Buffer
 	WriteChurn(&buf, res)
@@ -77,7 +67,7 @@ func TestChurnStableAnchorAndRecovery(t *testing.T) {
 // (and the minimum fleet at rate 1, the tightest rotation) against the
 // timeline validator — the script must never produce an invalid sequence.
 func TestChurnEventsGrammar(t *testing.T) {
-	for _, scenario := range ChurnScenarioNames() {
+	for _, scenario := range churnScenarios {
 		for _, workers := range []int{8, 16, 64, 256} {
 			for _, rate := range []float64{0.1, 0.25, 0.5, 1} {
 				evs := ChurnEvents(scenario, workers, workers/4, 2, 12, rate)
@@ -102,14 +92,11 @@ func TestChurnOptionValidation(t *testing.T) {
 		name string
 		mut  func(*Options)
 	}{
-		{"small fleet", func(o *Options) { o.ChurnWorkers = []int{4} }},
-		{"zero rate", func(o *Options) { o.ChurnRates = []float64{0} }},
-		{"rate above 1", func(o *Options) { o.ChurnRates = []float64{2} }},
-		{"unknown scenario", func(o *Options) { o.ChurnScenarios = []string{"meteor"} }},
+		{"unknown model", func(o *Options) { o.Models = []string{"NoSuchNet"} }},
 		{"unknown policy", func(o *Options) { o.Policies = []string{"nope"} }},
 	}
 	for _, tc := range cases {
-		o := churnQuick()
+		o := Quick()
 		tc.mut(&o)
 		if _, err := Churn(o); err == nil {
 			t.Errorf("%s: no error", tc.name)

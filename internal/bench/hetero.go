@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"math"
 
@@ -49,10 +48,11 @@ const (
 // scenarioHomog tags the severity-1 normalization anchor rows.
 const scenarioHomog = "homog"
 
-// HeteroScenarioNames returns the selectable hetero scenarios in order.
-func HeteroScenarioNames() []string {
-	return []string{ScenarioStraggler, ScenarioTransient, ScenarioContention, ScenarioAsymLink}
-}
+// heteroScenarios lists the hetero scenarios in presentation order.
+var heteroScenarios = []string{ScenarioStraggler, ScenarioTransient, ScenarioContention, ScenarioAsymLink}
+
+// heteroSeverities are the slow-down factors every scenario is run at.
+var heteroSeverities = []float64{2, 4}
 
 // HeteroRow is one (model, policy, scenario, severity) point of the
 // heterogeneity sweep.
@@ -101,55 +101,6 @@ func heteroModels(o Options) ([]model.Spec, error) {
 		o.Models = []string{"AlexNet v2", "VGG-16"}
 	}
 	return shootoutModels(o)
-}
-
-// heteroSeverities resolves, validates and deduplicates the severity
-// sweep (a repeated factor would double-weight its rows in the summary
-// geomean).
-func heteroSeverities(o Options) ([]float64, error) {
-	if o.HeteroSeverities == nil {
-		return []float64{2, 4}, nil
-	}
-	var out []float64
-	seen := map[float64]bool{}
-	for _, k := range o.HeteroSeverities {
-		if k <= 1 {
-			return nil, fmt.Errorf("bench: hetero: severity %v must be > 1", k)
-		}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// heteroScenarios resolves and validates the scenario list.
-func heteroScenarios(o Options) ([]string, error) {
-	if o.HeteroScenarios == nil {
-		return HeteroScenarioNames(), nil
-	}
-	known := map[string]bool{}
-	for _, s := range HeteroScenarioNames() {
-		known[s] = true
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, s := range o.HeteroScenarios {
-		if !known[s] {
-			return nil, fmt.Errorf("bench: hetero: unknown scenario %q (known: %v)", s, HeteroScenarioNames())
-		}
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, s)
-	}
-	if out == nil {
-		return nil, fmt.Errorf("bench: hetero: empty scenario list")
-	}
-	return out, nil
 }
 
 // heteroPoint is one engine work item. platforms carries the scenario's
@@ -242,14 +193,6 @@ func Hetero(o Options) (*HeteroResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	severities, err := heteroSeverities(o)
-	if err != nil {
-		return nil, err
-	}
-	scenarios, err := heteroScenarios(o)
-	if err != nil {
-		return nil, err
-	}
 	// One PlatformMap per (scenario, severity), shared by every point of
 	// that cell so the build cache can share the underlying clusters too.
 	type pmKey struct {
@@ -257,8 +200,8 @@ func Hetero(o Options) (*HeteroResult, error) {
 		severity float64
 	}
 	pms := make(map[pmKey]*timing.PlatformMap)
-	for _, scenario := range scenarios {
-		for _, k := range severities {
+	for _, scenario := range heteroScenarios {
+		for _, k := range heteroSeverities {
 			pms[pmKey{scenario, k}] = scenarioPlatforms(scenario, k)
 		}
 	}
@@ -266,8 +209,8 @@ func Hetero(o Options) (*HeteroResult, error) {
 	for _, spec := range specs {
 		for _, policy := range policies {
 			points = append(points, heteroPoint{spec, policy, scenarioHomog, 1, nil})
-			for _, scenario := range scenarios {
-				for _, k := range severities {
+			for _, scenario := range heteroScenarios {
+				for _, k := range heteroSeverities {
 					points = append(points, heteroPoint{spec, policy, scenario, k, pms[pmKey{scenario, k}]})
 				}
 			}
@@ -295,7 +238,7 @@ func Hetero(o Options) (*HeteroResult, error) {
 	// Robustness summary per (policy, scenario), across models × severities.
 	var summary []HeteroSummary
 	for _, policy := range policies {
-		for _, scenario := range scenarios {
+		for _, scenario := range heteroScenarios {
 			logSum, pctSum := 0.0, 0.0
 			n := 0
 			for _, r := range rows {

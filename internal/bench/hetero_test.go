@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// heteroQuick keeps the hetero unit tests cheap: one cheap model, two
-// policies, one severity per scenario.
+// heteroQuick keeps the hetero unit tests cheap: one cheap model and two
+// policies.
 func heteroQuick() Options {
 	o := Quick()
 	o.Models = []string{"AlexNet v2"}
 	o.Policies = []string{"tic", "random"}
-	o.HeteroSeverities = []float64{4}
 	return o
 }
 
@@ -24,8 +23,6 @@ func TestHeteroHomogeneousMatchesShootoutBitIdentical(t *testing.T) {
 	o := Quick()
 	o.Models = []string{"AlexNet v2", "VGG-16"}
 	o.Policies = []string{"tic", "tac", "random"}
-	o.HeteroSeverities = []float64{2}
-	o.HeteroScenarios = []string{ScenarioStraggler}
 
 	shootout, err := Shootout(o)
 	if err != nil {
@@ -67,7 +64,6 @@ func TestHeteroHomogeneousMatchesShootoutBitIdentical(t *testing.T) {
 // straggler scenario cheaper.
 func TestHeteroSeverityDegradesPerformance(t *testing.T) {
 	o := heteroQuick()
-	o.HeteroSeverities = []float64{2, 8}
 	res, err := Hetero(o)
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +74,7 @@ func TestHeteroSeverityDegradesPerformance(t *testing.T) {
 		if r.Scenario == "homog" {
 			continue
 		}
-		// Jitter gives ±4%; a ×2..×8 injection dominates it for straggler
+		// Jitter gives ±4%; a ×2..×4 injection dominates it for straggler
 		// and contention, but let every scenario clear at least break-even
 		// minus noise.
 		if r.NormVsHomog < 0.97 {
@@ -87,19 +83,19 @@ func TestHeteroSeverityDegradesPerformance(t *testing.T) {
 	}
 	for _, policy := range []string{"tic", "random"} {
 		lo := byKey[policy+"/"+ScenarioStraggler+"/2.0"]
-		hi := byKey[policy+"/"+ScenarioStraggler+"/8.0"]
+		hi := byKey[policy+"/"+ScenarioStraggler+"/4.0"]
 		if hi.NormVsHomog <= lo.NormVsHomog {
-			t.Fatalf("%s: straggler ×8 (%v) not worse than ×2 (%v)",
+			t.Fatalf("%s: straggler ×4 (%v) not worse than ×2 (%v)",
 				policy, hi.NormVsHomog, lo.NormVsHomog)
 		}
-		// A ×8 compute straggler must visibly blow up worker wait time.
+		// A ×4 compute straggler must visibly blow up worker wait time.
 		if hi.MaxStragglerPct <= lo.MaxStragglerPct {
 			t.Fatalf("%s: straggler%% did not grow with severity: %v vs %v",
 				policy, hi.MaxStragglerPct, lo.MaxStragglerPct)
 		}
 	}
 	// Summary covers every (policy, scenario) pair with geomean >= ~1.
-	wantPairs := len(o.Policies) * len(HeteroScenarioNames())
+	wantPairs := len(o.Policies) * len(heteroScenarios)
 	if len(res.Summary) != wantPairs {
 		t.Fatalf("summary has %d pairs, want %d", len(res.Summary), wantPairs)
 	}
@@ -110,54 +106,24 @@ func TestHeteroSeverityDegradesPerformance(t *testing.T) {
 	}
 }
 
-// Option validation fails loudly: bad severities, unknown scenarios and
-// unknown models are errors, not silent empty sweeps.
+// Option validation fails loudly: unknown models and policies are errors,
+// not silent empty sweeps.
 func TestHeteroOptionValidation(t *testing.T) {
 	o := heteroQuick()
-	o.HeteroSeverities = []float64{0.5}
-	if _, err := Hetero(o); err == nil {
-		t.Fatal("severity <= 1 accepted")
-	}
-	o = heteroQuick()
-	o.HeteroScenarios = []string{"meteor-strike"}
-	if _, err := Hetero(o); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-	o = heteroQuick()
 	o.Models = []string{"NoSuchNet"}
 	if _, err := Hetero(o); err == nil {
 		t.Fatal("unknown model accepted")
 	}
-	// Scenario subset + dedup works.
 	o = heteroQuick()
-	o.HeteroScenarios = []string{ScenarioContention, ScenarioContention}
-	res, err := Hetero(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		if r.Scenario != "homog" && r.Scenario != ScenarioContention {
-			t.Fatalf("unexpected scenario row %+v", r)
-		}
-	}
-	// Repeated severities are deduplicated, not double-counted.
-	o = heteroQuick()
-	o.HeteroScenarios = []string{ScenarioContention}
-	o.HeteroSeverities = []float64{4, 4}
-	res, err = Hetero(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per policy: 1 homog row + 1 contention row.
-	if want := 2 * len(o.Policies); len(res.Rows) != want {
-		t.Fatalf("duplicate severity not deduped: %d rows, want %d", len(res.Rows), want)
+	o.Policies = []string{"nope"}
+	if _, err := Hetero(o); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
 }
 
 // The rendered report carries both tables.
 func TestWriteHetero(t *testing.T) {
 	o := heteroQuick()
-	o.HeteroScenarios = []string{ScenarioStraggler}
 	var buf bytes.Buffer
 	exps, err := SelectExperiments("hetero")
 	if err != nil {

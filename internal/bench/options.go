@@ -32,28 +32,10 @@ type Options struct {
 	// Models restricts sweeps to the named models; nil uses each figure's
 	// paper set.
 	Models []string
-	// Policies restricts the policy-shootout and hetero experiments to the
-	// named scheduling policies (see internal/sched); nil sweeps every
-	// registered policy.
+	// Policies restricts the policy-shootout, hetero and churn experiments
+	// to the named scheduling policies (see internal/sched); nil sweeps
+	// each experiment's default set.
 	Policies []string
-	// HeteroSeverities lists the slow-down factors the hetero experiment
-	// sweeps (each scenario is run once per factor); nil uses {2, 4}.
-	HeteroSeverities []float64
-	// HeteroScenarios restricts the hetero experiment to the named
-	// scenarios (see HeteroScenarioNames); nil sweeps all of them. The
-	// homogeneous baseline always runs — it is the normalization anchor.
-	HeteroScenarios []string
-	// ChurnWorkers lists the fleet sizes the churn experiment sweeps
-	// (each >= 8 so the event script never empties the fleet or re-fails
-	// a degraded shard); nil uses {16, 64, 256}.
-	ChurnWorkers []int
-	// ChurnRates lists the churn experiment's event rates in strikes per
-	// protocol iteration, each in (0, 1]; nil uses {0.25, 1}.
-	ChurnRates []float64
-	// ChurnScenarios restricts the churn experiment to the named scenarios
-	// (see ChurnScenarioNames); nil sweeps all of them. The stable baseline
-	// always runs — it is the normalization anchor.
-	ChurnScenarios []string
 	// Seed is the base RNG seed.
 	Seed int64
 	// Jobs bounds the experiment engine's worker pool. Zero means

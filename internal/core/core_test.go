@@ -63,17 +63,18 @@ func TestFindDependencies(t *testing.T) {
 	if d.NumRecvs() != 2 {
 		t.Fatalf("recvs = %d", d.NumRecvs())
 	}
-	op2 := g.Op("op2")
-	deps := d.RecvDeps(op2)
-	if len(deps) != 2 {
-		t.Fatalf("op2 deps = %v", deps)
+	// dependsOn reads op's dependency bitset at recv's dense index.
+	dependsOn := func(op, recv string) bool {
+		return d.dep[g.Op(op).ID].has(d.recvIndex[g.Op(recv).ID])
 	}
-	op1 := g.Op("op1")
-	if !d.DependsOn(op1, g.Op("recv1")) || d.DependsOn(op1, g.Op("recv2")) {
+	if n := d.dep[g.Op("op2").ID].count(); n != 2 || !dependsOn("op2", "recv1") || !dependsOn("op2", "recv2") {
+		t.Fatalf("op2 depends on %d recvs, want recv1 and recv2", n)
+	}
+	if !dependsOn("op1", "recv1") || dependsOn("op1", "recv2") {
 		t.Fatal("op1 dependency set wrong")
 	}
 	// A recv depends on itself.
-	if !d.DependsOn(g.Op("recv1"), g.Op("recv1")) {
+	if !dependsOn("recv1", "recv1") {
 		t.Fatal("recv should contain itself in dep set")
 	}
 }

@@ -20,7 +20,8 @@ import (
 // op, the set of recv ops it directly or transitively depends on (§4.1,
 // "Communication Dependency op.dep").
 type Deps struct {
-	g *Graphish
+	// ops are the graph's ops, indexed by op ID.
+	ops []*graph.Op
 	// recvs are the recv ops of the partition, indexed densely.
 	recvs []*graph.Op
 	// recvIndex maps op ID -> dense recv index.
@@ -30,12 +31,6 @@ type Deps struct {
 	dep []bitset
 	// topo is a cached topological order of the graph.
 	topo []*graph.Op
-}
-
-// Graphish is a tiny alias-struct to keep Deps decoupled from the mutable
-// graph: it records only what the algorithms need.
-type Graphish struct {
-	Ops []*graph.Op
 }
 
 // FindDependencies extracts the communication dependencies of g via a
@@ -49,7 +44,7 @@ func FindDependencies(g *graph.Graph) (*Deps, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	d := &Deps{
-		g:         &Graphish{Ops: g.Ops()},
+		ops:       g.Ops(),
 		recvIndex: make(map[int]int),
 		topo:      topo,
 	}
@@ -79,25 +74,3 @@ func (d *Deps) Recvs() []*graph.Op { return d.recvs }
 
 // NumRecvs returns the number of recv ops.
 func (d *Deps) NumRecvs() int { return len(d.recvs) }
-
-// RecvDeps returns the recv ops that op transitively depends on.
-func (d *Deps) RecvDeps(op *graph.Op) []*graph.Op {
-	var out []*graph.Op
-	all := newBitset(len(d.recvs))
-	for i := range all {
-		all[i] = ^uint64(0)
-	}
-	d.dep[op.ID].forEachAnd(all, func(i int) {
-		out = append(out, d.recvs[i])
-	})
-	return out
-}
-
-// DependsOn reports whether op transitively depends on the given recv op.
-func (d *Deps) DependsOn(op, recv *graph.Op) bool {
-	idx, ok := d.recvIndex[recv.ID]
-	if !ok {
-		return false
-	}
-	return d.dep[op.ID].has(idx)
-}

@@ -146,14 +146,14 @@ type properties struct {
 // updateProperties implements Algorithm 1 for the outstanding recv set r.
 // times[opID] caches oracle times.
 func updateProperties(d *Deps, times []float64, r bitset) properties {
-	nOps := len(d.g.Ops)
+	nOps := len(d.ops)
 	pr := properties{
 		m:     make([]float64, nOps),
 		p:     make([]float64, len(d.recvs)),
 		mPlus: make([]float64, len(d.recvs)),
 	}
 	// op.M ← Σ Time(recv) over op.dep ∩ R   (Algorithm 1 line 3)
-	for _, op := range d.g.Ops {
+	for _, op := range d.ops {
 		sum := 0.0
 		d.dep[op.ID].forEachAnd(r, func(i int) {
 			sum += times[d.recvs[i].ID]
@@ -165,7 +165,7 @@ func updateProperties(d *Deps, times []float64, r bitset) properties {
 		pr.mPlus[i] = math.Inf(1)
 	}
 	// Non-outstanding ops contribute P and M+   (lines 9-17)
-	for _, op := range d.g.Ops {
+	for _, op := range d.ops {
 		if idx, isRecv := d.recvIndex[op.ID]; isRecv && r.has(idx) {
 			continue // op ∈ R
 		}
@@ -190,8 +190,8 @@ func updateProperties(d *Deps, times []float64, r bitset) properties {
 
 // opTimes caches oracle.Time for every op.
 func opTimes(d *Deps, oracle timing.Oracle) []float64 {
-	times := make([]float64, len(d.g.Ops))
-	for _, op := range d.g.Ops {
+	times := make([]float64, len(d.ops))
+	for _, op := range d.ops {
 		times[op.ID] = oracle.Time(op)
 	}
 	return times

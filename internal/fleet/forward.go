@@ -17,6 +17,10 @@ import (
 // the answer correct no matter which node ends up serving.
 const ForwardedHeader = "X-Tictac-Forwarded"
 
+// DefaultHedgeTimeout is how long a forward waits on the owner before it
+// hedges to the next replica, unless NewForwarder is given another value.
+const DefaultHedgeTimeout = 250 * time.Millisecond
+
 // ErrNoTargets reports a forward with an empty target chain.
 var ErrNoTargets = errors.New("fleet: no forward targets")
 
@@ -52,16 +56,20 @@ type Forwarder struct {
 }
 
 // NewForwarder wires a forwarder to node. client nil selects a 5s-timeout
-// client; hedgeTimeout <= 0 selects 250ms.
+// client; hedgeTimeout <= 0 selects DefaultHedgeTimeout.
 func NewForwarder(node *Node, client *http.Client, hedgeTimeout time.Duration) *Forwarder {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
 	if hedgeTimeout <= 0 {
-		hedgeTimeout = 250 * time.Millisecond
+		hedgeTimeout = DefaultHedgeTimeout
 	}
 	return &Forwarder{node: node, client: client, hedgeTimeout: hedgeTimeout, maxBody: 8 << 20}
 }
+
+// HedgeTimeout returns how long a forward waits on the owner before it
+// hedges.
+func (f *Forwarder) HedgeTimeout() time.Duration { return f.hedgeTimeout }
 
 // Forward relays (method, path, body) along the target chain and returns
 // the first response. Any HTTP response — including an error status — is a

@@ -63,7 +63,7 @@ func forwarderForTest(t *testing.T, hedge time.Duration, peers ...*echoPeer) (*F
 	for _, p := range peers {
 		members = append(members, p.member())
 	}
-	n, err := NewNode(Config{Self: "self", Members: members, Seed: 7, DownAfter: 3})
+	n, err := NewNode(Config{Self: "self", Members: members, Seed: 7})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}

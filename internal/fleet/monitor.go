@@ -22,56 +22,36 @@ type Config struct {
 	// only add to it: statically seeded members are never forgotten, only
 	// marked down.
 	Members []Member
-	// VNodes is the virtual-node count per member (<= 0 = DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the baseline health-probe period per peer
 	// (<= 0 = 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round-trip (<= 0 = 2s).
 	ProbeTimeout time.Duration
-	// SuspectAfter / DownAfter are the consecutive-failure thresholds of
-	// the state machine (<= 0 = 1 and 3). A peer at SuspectAfter failures
-	// turns suspect (still routed to); at DownAfter it leaves the ring.
-	SuspectAfter int
-	DownAfter    int
-	// MaxBackoff caps the exponential probe backoff for downed peers
-	// (<= 0 = 15s).
-	MaxBackoff time.Duration
 	// Seed drives the probe-jitter RNG. Jitter only spreads probe times —
 	// it never influences routing, which stays a pure function of the
 	// membership view.
 	Seed int64
-	// Client is the probe HTTP client (nil = a client with ProbeTimeout).
-	Client *http.Client
-	// ProbePath is the peer endpoint probes GET (default /v1/fleet, whose
-	// response doubles as the gossip payload; any 200 counts as alive).
-	ProbePath string
 }
 
+const (
+	// suspectAfter and downAfter are the consecutive-failure thresholds of
+	// the state machine. A peer at suspectAfter failures turns suspect
+	// (still routed to); at downAfter it leaves the ring.
+	suspectAfter = 1
+	downAfter    = 3
+	// maxBackoff caps the exponential probe backoff for downed peers.
+	maxBackoff = 15 * time.Second
+	// probePath is the peer endpoint probes GET. Its response doubles as
+	// the gossip payload; any 200 counts as alive.
+	probePath = "/v1/fleet"
+)
+
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.DownAfter < c.SuspectAfter {
-		c.DownAfter = c.SuspectAfter
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 15 * time.Second
-	}
-	if c.ProbePath == "" {
-		c.ProbePath = "/v1/fleet"
 	}
 	return c
 }
@@ -141,14 +121,10 @@ func NewNode(cfg Config) (*Node, error) {
 	if len(cfg.Members) < 2 {
 		return nil, errors.New("fleet: need at least two members (a one-node fleet is plain daemon mode)")
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.ProbeTimeout}
-	}
 	n := &Node{
 		cfg:    cfg,
 		self:   self,
-		client: client,
+		client: &http.Client{Timeout: cfg.ProbeTimeout},
 		peers:  make(map[string]*peerState),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -204,7 +180,7 @@ func (n *Node) rebuildRingLocked() {
 	if n.ring != nil && sameMembers(n.ring.Members(), members) {
 		return
 	}
-	n.ring = NewRing(members, n.cfg.VNodes)
+	n.ring = NewRing(members, DefaultVNodes)
 	n.generation++
 }
 
@@ -294,7 +270,7 @@ func (n *Node) probe(ctx context.Context, m Member) {
 // fetchView GETs the peer's probe endpoint. Any 200 counts as alive; the
 // parsed view (when the body is one) feeds the gossip merge.
 func (n *Node) fetchView(ctx context.Context, m Member) (*View, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+n.cfg.ProbePath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+probePath, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -346,9 +322,9 @@ func (n *Node) failureLocked(p *peerState) {
 	p.failures++
 	prev := p.status
 	switch {
-	case p.failures >= n.cfg.DownAfter:
+	case p.failures >= downAfter:
 		p.status = Down
-	case p.failures >= n.cfg.SuspectAfter:
+	case p.failures >= suspectAfter:
 		p.status = Suspect
 	}
 	p.nextProbe = time.Now().Add(n.backoffLocked(p))
@@ -370,16 +346,16 @@ func (n *Node) successLocked(p *peerState) {
 
 // backoffLocked computes the next probe delay for a failing peer: the base
 // interval while alive/suspect, then exponential in the failures beyond the
-// down threshold, capped at MaxBackoff — all with seeded jitter so a fleet
+// down threshold, capped at maxBackoff — all with seeded jitter so a fleet
 // restarted together does not probe in lockstep. Caller holds n.mu.
 func (n *Node) backoffLocked(p *peerState) time.Duration {
 	d := n.cfg.ProbeInterval
 	if p.status == Down {
-		for i := p.failures - n.cfg.DownAfter; i > 0 && d < n.cfg.MaxBackoff; i-- {
+		for i := p.failures - downAfter; i > 0 && d < maxBackoff; i-- {
 			d *= 2
 		}
-		if d > n.cfg.MaxBackoff {
-			d = n.cfg.MaxBackoff
+		if d > maxBackoff {
+			d = maxBackoff
 		}
 	}
 	return n.jitterLocked(d)
@@ -496,7 +472,7 @@ func (n *Node) View() View {
 	v := View{
 		Node:        n.self.ID,
 		Generation:  n.generation,
-		VNodes:      n.cfg.VNodes,
+		VNodes:      DefaultVNodes,
 		Live:        n.ring.Len(),
 		ForwardedIn: n.forwardedIn,
 		Warmed:      n.warmed,

@@ -48,7 +48,6 @@ func testNode(t *testing.T, peers ...*fleetStub) *Node {
 		Members:       members,
 		ProbeInterval: 10 * time.Millisecond,
 		ProbeTimeout:  time.Second,
-		DownAfter:     3,
 		Seed:          42,
 	})
 	if err != nil {

@@ -167,42 +167,6 @@ func sortedKeys(set map[string]bool) []string {
 	return keys
 }
 
-// DeviceSubgraph returns a new graph containing the ops assigned to device,
-// with edges restricted to pairs inside the device. Op names, kinds, tags and
-// payloads are preserved, so priorities computed on the subgraph can be keyed
-// back to the full graph by name.
-//
-// This realizes the "reference worker partition" the ordering wizard operates
-// on (§4): cross-device edges are dropped, which turns each recv into a root
-// and each send into a leaf, matching the paper's worker-DAG shape.
-func (g *Graph) DeviceSubgraph(device string) *Graph {
-	sub := New()
-	for _, op := range g.ops {
-		if op.Device != device {
-			continue
-		}
-		c := sub.MustAddOp(op.Name, op.Kind)
-		c.Device = op.Device
-		c.Resource = op.Resource
-		c.Bytes = op.Bytes
-		c.FLOPs = op.FLOPs
-		c.Param = op.Param
-	}
-	for _, op := range g.ops {
-		if op.Device != device {
-			continue
-		}
-		from := sub.byName[op.Name]
-		for _, succ := range op.out {
-			if succ.Device != device {
-				continue
-			}
-			sub.MustConnect(from, sub.byName[succ.Name])
-		}
-	}
-	return sub
-}
-
 // Clone returns a deep copy of the graph. Op IDs and names are preserved.
 func (g *Graph) Clone() *Graph {
 	c := NewSized(len(g.ops))

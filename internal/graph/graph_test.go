@@ -178,34 +178,6 @@ func TestCloneIsDeepAndEqual(t *testing.T) {
 	}
 }
 
-func TestDeviceSubgraph(t *testing.T) {
-	g := New()
-	r := g.MustAddOp("recv/w1", Recv)
-	r.Device, r.Resource = "worker:0", "worker:0/net"
-	c1 := tag(g.MustAddOp("conv1", Compute), "worker:0")
-	s := g.MustAddOp("send/g1", Send)
-	s.Device, s.Resource = "worker:0", "worker:0/net"
-	ps := g.MustAddOp("ps/send/w1", Send)
-	ps.Device, ps.Resource = "ps:0", "ps:0/net"
-	g.MustConnect(ps, r) // cross-device edge
-	g.MustConnect(r, c1)
-	g.MustConnect(c1, s)
-
-	sub := g.DeviceSubgraph("worker:0")
-	if sub.Len() != 3 {
-		t.Fatalf("subgraph len = %d, want 3", sub.Len())
-	}
-	if sub.Op("ps/send/w1") != nil {
-		t.Fatal("subgraph contains foreign op")
-	}
-	if !sub.Op("recv/w1").IsRoot() {
-		t.Fatal("recv should become a root after dropping cross-device edges")
-	}
-	if !sub.Op("send/g1").IsLeaf() {
-		t.Fatal("send should be a leaf")
-	}
-}
-
 func TestOpsOfKindAndStats(t *testing.T) {
 	g := New()
 	r := g.MustAddOp("recv/p0", Recv)
@@ -230,21 +202,6 @@ func TestOpsOfKindAndStats(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "ops=3") {
 		t.Fatalf("stats string = %q", st.String())
-	}
-}
-
-func TestDescendantsAncestors(t *testing.T) {
-	g := buildDiamond(t)
-	desc := g.Descendants(g.Op("root"))
-	if len(desc) != 3 {
-		t.Fatalf("descendants of root = %d, want 3", len(desc))
-	}
-	anc := g.Ancestors(g.Op("sink"))
-	if len(anc) != 3 {
-		t.Fatalf("ancestors of sink = %d, want 3", len(anc))
-	}
-	if len(g.Descendants(g.Op("sink"))) != 0 {
-		t.Fatal("sink should have no descendants")
 	}
 }
 

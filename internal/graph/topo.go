@@ -35,40 +35,6 @@ func (g *Graph) TopoSort() ([]*Op, error) {
 	return order, nil
 }
 
-// Descendants returns the set of ops reachable from start (excluding start),
-// keyed by op ID.
-func (g *Graph) Descendants(start *Op) map[int]bool {
-	seen := make(map[int]bool)
-	stack := append([]*Op(nil), start.out...)
-	for len(stack) > 0 {
-		op := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[op.ID] {
-			continue
-		}
-		seen[op.ID] = true
-		stack = append(stack, op.out...)
-	}
-	return seen
-}
-
-// Ancestors returns the set of ops from which start is reachable (excluding
-// start), keyed by op ID.
-func (g *Graph) Ancestors(start *Op) map[int]bool {
-	seen := make(map[int]bool)
-	stack := append([]*Op(nil), start.in...)
-	for len(stack) > 0 {
-		op := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[op.ID] {
-			continue
-		}
-		seen[op.ID] = true
-		stack = append(stack, op.in...)
-	}
-	return seen
-}
-
 // CriticalPathLen returns the number of ops on the longest root-to-leaf path.
 func (g *Graph) CriticalPathLen() int {
 	order, err := g.TopoSort()

@@ -286,29 +286,6 @@ func TestOpenLoopLatencyCountsQueueing(t *testing.T) {
 	}
 }
 
-// TestHitRateCountsCoalesced sends 32 simultaneous requests for one
-// expensive key: most of them wait on the first one's build. The curve's
-// hit rate must be the one /metrics reports, coalesced lookups included.
-func TestHitRateCountsCoalesced(t *testing.T) {
-	svc := service.New(service.Options{})
-	w := &trace.Workload{Version: trace.WorkloadVersion, Name: "one-key"}
-	for range 32 {
-		w.Events = append(w.Events, trace.Event{Model: "ResNet-101 v2", Policy: "tic"})
-	}
-	report, c := run(t, Options{Trace: w, Targets: []string{serve(t, svc.Handler())}, Concurrency: 16})
-	if err := report.Err(); err != nil {
-		t.Fatal(err)
-	}
-	m := svc.Metrics().Cache.Schedules
-	if c.Server.HitRate != m.HitRate || c.Server.Coalesced != m.Coalesced {
-		t.Errorf("curve hit rate %v (%d coalesced), /metrics %v (%d coalesced); want equal",
-			c.Server.HitRate, c.Server.Coalesced, m.HitRate, m.Coalesced)
-	}
-	if c.Server.Coalesced == 0 {
-		t.Errorf("no coalesced lookups (%+v); the test needs some to tell the definitions apart", c.Server)
-	}
-}
-
 // TestRunReplayInProcess drives the full replay — self-hosted server grid,
 // byte-verified responses, offline shootout — on a small fixed-seed trace.
 func TestRunReplayInProcess(t *testing.T) {
@@ -432,7 +409,6 @@ func startFleet(t *testing.T, n int) ([]string, []*http.Server) {
 			Members:       members,
 			ProbeInterval: 50 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
-			DownAfter:     3,
 			Seed:          int64(i),
 		})
 		if err != nil {

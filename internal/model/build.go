@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"strings"
 
 	"tictac/internal/graph"
 )
@@ -25,6 +26,18 @@ func (m Mode) String() string {
 		return "inference"
 	}
 	return "training"
+}
+
+// ParseMode resolves a mode name, in any case: "training" (also "train",
+// and "" as the default) or "inference" (also "infer").
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "", "training", "train":
+		return Training, nil
+	case "inference", "infer":
+		return Inference, nil
+	}
+	return Training, fmt.Errorf("unknown mode %q (training|inference)", name)
 }
 
 // Ops returns the op count of the worker graph this spec produces in the

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +321,22 @@ func TestQuickCatalogGraphInvariants(t *testing.T) {
 			if recvBytes != s.ParamBytes() {
 				t.Fatalf("%s/%s: recv bytes %d != %d", s.Name, mode, recvBytes, s.ParamBytes())
 			}
+		}
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{
+		"": Training, "training": Training, "Train": Training,
+		"inference": Inference, "INFER": Inference,
+	} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"bogus", "inf", " training"} {
+		if _, err := ParseMode(name); err == nil || !strings.Contains(err.Error(), "training|inference") {
+			t.Errorf("ParseMode(%q): err = %v, want one naming the valid modes", name, err)
 		}
 	}
 }

@@ -11,9 +11,9 @@
 // pair.
 //
 // Adding a new ordering idea is a ~50-line drop-in: implement Policy, add
-// one entry to the table in registry.go, and every binary flag surface
-// (cmd/tictac, cmd/tictac-sim, cmd/tictac-bench -policies) and the
-// "shootout" experiment pick it up automatically.
+// one entry to the table in registry.go, and the -policy flags of
+// cmd/tictac and cmd/tictac-sim and the "shootout" experiment pick it up
+// automatically.
 //
 // The built-in policies are:
 //

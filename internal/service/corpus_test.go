@@ -71,7 +71,6 @@ func corpusServices(t *testing.T) (plain, fleetMode http.Handler) {
 			{ID: "b", URL: "http://b.invalid"},
 			{ID: "c", URL: "http://c.invalid"},
 		},
-		Client: client,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
 	"tictac/internal/fleet"
 )
@@ -253,13 +252,9 @@ func (s *Service) fleetMetrics() *FleetMetrics {
 	if s.fleet == nil {
 		return nil
 	}
-	hedge := s.opts.FleetHedgeTimeout
-	if hedge <= 0 {
-		hedge = 250 * time.Millisecond
-	}
 	return &FleetMetrics{
 		View:                s.fleet.View(),
 		Draining:            s.draining.Load(),
-		HedgeTimeoutSeconds: hedge.Seconds(),
+		HedgeTimeoutSeconds: s.forwarder.HedgeTimeout().Seconds(),
 	}
 }

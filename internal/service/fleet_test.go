@@ -82,7 +82,6 @@ func startTestFleetTimeout(t testing.TB, n int, forwardTimeout time.Duration) []
 			Members:       members,
 			ProbeInterval: 50 * time.Millisecond,
 			ProbeTimeout:  2 * time.Second,
-			DownAfter:     3,
 			Seed:          int64(i),
 		})
 		if err != nil {
@@ -489,6 +488,26 @@ func TestFleetForwardOverRelayCapServedLocally(t *testing.T) {
 		if m.ID == nodes[1].id && (m.Status != fleet.Alive || m.ForwardFailures != 0) {
 			t.Fatalf("owner is %s with %d forward failures after an answer over the cap, want alive with 0",
 				m.Status, m.ForwardFailures)
+		}
+	}
+}
+
+// TestFleetMetricsHedgeTimeout pins that /metrics reports the hedge timeout
+// the forwarder uses: fleet.DefaultHedgeTimeout when none is set, else the
+// configured one.
+func TestFleetMetricsHedgeTimeout(t *testing.T) {
+	members := []fleet.Member{{ID: "a", URL: "http://a.invalid"}, {ID: "b", URL: "http://b.invalid"}}
+	for _, tc := range []struct {
+		hedge time.Duration
+		want  float64
+	}{{0, 0.25}, {time.Second, 1}} {
+		node, err := fleet.NewNode(fleet.Config{Self: "a", Members: members})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Options{Fleet: node, FleetHedgeTimeout: tc.hedge}).Metrics()
+		if m.Fleet == nil || m.Fleet.HedgeTimeoutSeconds != tc.want {
+			t.Errorf("FleetHedgeTimeout %v: /metrics fleet section %+v, want hedge_timeout_seconds %v", tc.hedge, m.Fleet, tc.want)
 		}
 	}
 }

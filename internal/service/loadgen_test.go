@@ -1,14 +1,15 @@
 package service_test
 
-// Input checks of the load driver in internal/loadgen, which drives this
-// service. They are an external test package because loadgen imports
-// service.
+// Tests of the load driver in internal/loadgen, which drives this service.
+// They are an external test package because loadgen imports service.
 
 import (
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"tictac/internal/loadgen"
+	"tictac/internal/service"
 	"tictac/internal/trace"
 )
 
@@ -37,5 +38,36 @@ func TestRunReplayOptionValidation(t *testing.T) {
 		if _, err := loadgen.Run(opts); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestHitRateCountsCoalesced sends 32 requests for one key, 16 at a time.
+// The first schedule build is held open until the other 15 requests in
+// flight wait on it, so exactly 15 lookups coalesce. The curve's hit rate
+// must be the one /metrics reports, coalesced lookups included.
+func TestHitRateCountsCoalesced(t *testing.T) {
+	svc := service.New(service.Options{})
+	service.HoldFirstScheduleBuild(svc, 15)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	w := &trace.Workload{Version: trace.WorkloadVersion, Name: "one-key"}
+	for range 32 {
+		w.Events = append(w.Events, trace.Event{Model: "AlexNet v2", Policy: "tic"})
+	}
+	report, err := loadgen.Run(loadgen.Options{Trace: w, Targets: []string{ts.URL}, Concurrency: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.Err(); err != nil {
+		t.Fatal(err)
+	}
+	c := report.Curves[0]
+	m := svc.Metrics().Cache.Schedules
+	if c.Server.HitRate != m.HitRate || c.Server.Coalesced != m.Coalesced {
+		t.Errorf("curve hit rate %v (%d coalesced), /metrics %v (%d coalesced); want equal",
+			c.Server.HitRate, c.Server.Coalesced, m.HitRate, m.Coalesced)
+	}
+	if m.Coalesced != 15 {
+		t.Errorf("%d coalesced lookups (%+v), want 15: the held build should collect every other request in flight", m.Coalesced, m)
 	}
 }

@@ -62,9 +62,6 @@ type Options struct {
 	// no-error signature predates pluggable policies and every caller
 	// already resolves options up front.
 	CachePolicy string
-	// LatencyWindow is the per-endpoint latency sample window for /metrics
-	// percentiles. <= 0 selects stats.DefaultLatencyWindow.
-	LatencyWindow int
 	// MaxBatch caps the variant count of a single /v1/batch request;
 	// requests above it are rejected with 413 batch_too_large. <= 0 selects
 	// DefaultMaxBatch.
@@ -78,7 +75,7 @@ type Options struct {
 	// gains the fleet section. See docs/fleet.md.
 	Fleet *fleet.Node
 	// FleetHedgeTimeout is how long a forward waits on the owner before
-	// hedging to the next replica (<= 0 selects the forwarder default).
+	// hedging to the next replica (<= 0 selects fleet.DefaultHedgeTimeout).
 	FleetHedgeTimeout time.Duration
 	// FleetClient is the HTTP client forwards and drain streaming use
 	// (nil selects a default with a 10s timeout).
@@ -188,7 +185,7 @@ func New(opts Options) *Service {
 		endpoints: make(map[string]*endpointMetrics),
 	}
 	for _, name := range []string{"schedule", "simulate", "batch", "policies", "healthz", "metrics"} {
-		s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(opts.LatencyWindow)}
+		s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(stats.DefaultLatencyWindow)}
 	}
 	if opts.Fleet != nil {
 		s.fleet = opts.Fleet
@@ -198,7 +195,7 @@ func New(opts Options) *Service {
 		}
 		s.forwarder = fleet.NewForwarder(s.fleet, s.fleetClient, opts.FleetHedgeTimeout)
 		for _, name := range []string{"fleet", "warm", "drain"} {
-			s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(opts.LatencyWindow)}
+			s.endpoints[name] = &endpointMetrics{lat: stats.NewLatencyRecorder(stats.DefaultLatencyWindow)}
 		}
 	}
 	return s

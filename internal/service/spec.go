@@ -213,24 +213,16 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 		return r, codeErr(http.StatusBadRequest, CodeUnknownModel,
 			"unknown model %q (GET /v1/policies lists policies; see Table 1 for models)", spec.Model)
 	}
-	var mode model.Mode
-	switch strings.ToLower(spec.Mode) {
-	case "", "training", "train":
-		mode, r.mode = model.Training, "training"
-	case "inference", "infer":
-		mode, r.mode = model.Inference, "inference"
-	default:
-		return r, codeErr(http.StatusBadRequest, CodeUnknownMode, "unknown mode %q (training|inference)", spec.Mode)
+	mode, err := model.ParseMode(spec.Mode)
+	if err != nil {
+		return r, codeErr(http.StatusBadRequest, CodeUnknownMode, "%v", err)
 	}
-	var platform timing.Platform
-	switch strings.ToLower(spec.Env) {
-	case "", "envg":
-		platform, r.env = timing.EnvG(), "envG"
-	case "envc":
-		platform, r.env = timing.EnvC(), "envC"
-	default:
-		return r, codeErr(http.StatusBadRequest, CodeUnknownEnv, "unknown env %q (envG|envC)", spec.Env)
+	r.mode = mode.String()
+	platform, err := timing.EnvByName(spec.Env)
+	if err != nil {
+		return r, codeErr(http.StatusBadRequest, CodeUnknownEnv, "%v", err)
 	}
+	r.env = platform.Name
 	r.policy = strings.ToLower(strings.TrimSpace(spec.Policy))
 	if r.policy == "" {
 		r.policy = sched.TIC

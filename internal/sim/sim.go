@@ -29,7 +29,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"tictac/internal/core"
 	"tictac/internal/graph"
@@ -116,31 +115,4 @@ func Run(g *graph.Graph, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return r.Run(cfg)
-}
-
-// RecvCompletionOrder extracts the completion order of recv transfer keys
-// for one device from the spans.
-func (r *Result) RecvCompletionOrder(device string) []string {
-	type done struct {
-		end float64
-		seq int
-		key string
-	}
-	var ds []done
-	for i, sp := range r.Spans {
-		if sp.Op.Kind == graph.Recv && sp.Op.Device == device {
-			ds = append(ds, done{sp.End, i, core.Key(sp.Op)})
-		}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].end != ds[j].end {
-			return ds[i].end < ds[j].end
-		}
-		return ds[i].seq < ds[j].seq
-	})
-	keys := make([]string, len(ds))
-	for i, d := range ds {
-		keys[i] = d.key
-	}
-	return keys
 }

@@ -117,36 +117,6 @@ func CDF(xs []float64) []CDFPoint {
 	return pts
 }
 
-// Histogram buckets xs into n equal-width bins spanning [min, max] and
-// returns bin counts plus the bin edges (n+1 values). n must be >= 1 and xs
-// non-empty, otherwise nil slices are returned.
-func Histogram(xs []float64, n int) (counts []int, edges []float64) {
-	if len(xs) == 0 || n < 1 {
-		return nil, nil
-	}
-	s := Summarize(xs)
-	width := (s.Max - s.Min) / float64(n)
-	if width == 0 {
-		width = 1
-	}
-	counts = make([]int, n)
-	edges = make([]float64, n+1)
-	for i := range edges {
-		edges[i] = s.Min + float64(i)*width
-	}
-	for _, x := range xs {
-		bin := int((x - s.Min) / width)
-		if bin >= n {
-			bin = n - 1
-		}
-		if bin < 0 {
-			bin = 0
-		}
-		counts[bin]++
-	}
-	return counts, edges
-}
-
 // Regression is the result of a simple ordinary-least-squares fit
 // y = Slope*x + Intercept.
 type Regression struct {

@@ -82,28 +82,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shapes: %d %d", len(counts), len(edges))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("total = %d", total)
-	}
-	if c, e := Histogram(nil, 5); c != nil || e != nil {
-		t.Fatal("empty input should give nil")
-	}
-	// All-equal values: degenerate width handled.
-	counts, _ = Histogram([]float64{2, 2, 2}, 3)
-	if counts[0] != 3 {
-		t.Fatalf("degenerate counts = %v", counts)
-	}
-}
-
 func TestLinearRegressionExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{3, 5, 7, 9} // y = 2x + 1

@@ -5,7 +5,12 @@
 // All durations are in seconds (float64).
 package timing
 
-import "tictac/internal/graph"
+import (
+	"fmt"
+	"strings"
+
+	"tictac/internal/graph"
+)
 
 // Oracle predicts the dedicated-resource execution time of an op (§3.1):
 // elapsed time on its compute resource for computation ops, transfer time on
@@ -76,6 +81,18 @@ func EnvC() Platform {
 		MemBandwidth:    1.0e10,
 		Jitter:          0.06,
 	}
+}
+
+// EnvByName resolves a platform profile name, in any case: "envG" (also ""
+// as the default) or "envC".
+func EnvByName(name string) (Platform, error) {
+	switch strings.ToLower(name) {
+	case "", "envg":
+		return EnvG(), nil
+	case "envc":
+		return EnvC(), nil
+	}
+	return Platform{}, fmt.Errorf("unknown env %q (envG|envC)", name)
 }
 
 // Cost returns the dedicated-resource execution time of op on the platform.

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -207,4 +208,17 @@ func clamp(v float64) float64 {
 		return 1e-9
 	}
 	return v
+}
+
+func TestEnvByName(t *testing.T) {
+	for name, want := range map[string]string{"": "envG", "envG": "envG", "ENVG": "envG", "envc": "envC"} {
+		if p, err := EnvByName(name); err != nil || p.Name != want {
+			t.Errorf("EnvByName(%q) = %q, %v; want %q", name, p.Name, err, want)
+		}
+	}
+	for _, name := range []string{"bogus", "env", "envG "} {
+		if _, err := EnvByName(name); err == nil || !strings.Contains(err.Error(), "envG|envC") {
+			t.Errorf("EnvByName(%q): err = %v, want one naming the valid envs", name, err)
+		}
+	}
 }

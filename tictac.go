@@ -156,8 +156,8 @@ type (
 
 	// FleetMember identifies one tictacd node in a sharded fleet.
 	FleetMember = fleet.Member
-	// FleetConfig configures a fleet node: static membership seed, probe
-	// cadence and health thresholds (internal/fleet; see docs/fleet.md).
+	// FleetConfig configures a fleet node: static membership seed and
+	// probe cadence (internal/fleet; see docs/fleet.md).
 	FleetConfig = fleet.Config
 	// FleetNode tracks fleet membership and peer health and owns the
 	// consistent-hash ring; pass it to ServiceOptions.Fleet to make a
