@@ -7,11 +7,10 @@ GO ?= go
 # publication-grade numbers.
 PERF_BENCHTIME ?= 50x
 
-# Coverage floor for `make cover` (percent). Raised to 80.5 against a
-# measured 82.6% total (re-measured at 82.6% after the internal/analysis
-# suite landed); raise it as coverage grows, never lower it to make a PR
-# pass.
-COVER_FLOOR ?= 80.5
+# Coverage floor for `make cover` (percent). Raised to 82.5 against a
+# measured 83.5% total (from 80.5, set against 82.6%); raise it as
+# coverage grows, never lower it to make a PR pass.
+COVER_FLOOR ?= 82.5
 
 # Pinned linter versions for `make lint` / the CI lint job. Bump
 # deliberately; a floating "latest" would let an upstream release break CI.

@@ -28,6 +28,21 @@ func TestPrimaryMetricPrefersThroughput(t *testing.T) {
 	}
 }
 
+// TestPrimaryMetricIgnoresSizeMetrics: a build row that also reports the
+// heap its result retains is still judged by ns/op. A size per op is
+// neither a throughput nor a hit rate, and a larger one is worse.
+func TestPrimaryMetricIgnoresSizeMetrics(t *testing.T) {
+	r := row("BenchmarkClusterBuild", "ResNet-101 v2", "build", 15e6, map[string]float64{"retained-B/op": 229.2})
+	name, v, higher := primaryMetric(r)
+	if name != "ns/op" || v != 15e6 || higher {
+		t.Fatalf("got %q %v higher=%v, want ns/op 1.5e+07 lower-is-better", name, v, higher)
+	}
+	slower := row("BenchmarkClusterBuild", "ResNet-101 v2", "build", 18e6, map[string]float64{"retained-B/op": 229.2})
+	if _, failed := compare([]Row{r}, []Row{slower}, 0.15); !failed {
+		t.Fatal("a 20% slower build with unchanged retained bytes passed the gate")
+	}
+}
+
 func TestCompareVerdicts(t *testing.T) {
 	baseline := []Row{
 		row("BenchmarkSimRun", "AlexNet v2", "runner", 1000, nil),

@@ -415,6 +415,7 @@ func Build(cfg Config) (*Cluster, error) {
 	if err := full.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	full.Freeze()
 	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, ref: ref}, nil
 }
 
@@ -646,6 +647,7 @@ func (c *Cluster) buildReferenceWorker() *graph.Graph {
 			}
 		}
 	}
+	out.Freeze()
 	return out
 }
 

@@ -635,11 +635,12 @@ var (
 )
 
 // BenchmarkClusterBuild times the per-graph work of a cluster-cache miss
-// at 4 workers × 2 PS, training. build is Build; digest is
-// core.GraphDigest of the built graph, which the service keys schedules
-// by; refworker is one copy of the reference worker out of the graph,
-// which ReferenceWorker pays on its first call and again after a GC has
-// collected the held one.
+// at 4 workers × 2 PS, training. build is Build, and also reports
+// retained-B/op: the heap a built cluster keeps per op with one iteration
+// run (see retainedPerOp); digest is core.GraphDigest of the built graph,
+// which the service keys schedules by; refworker is one copy of the
+// reference worker out of the graph, which ReferenceWorker pays on its
+// first call and again after a GC has collected the held one.
 func BenchmarkClusterBuild(b *testing.B) {
 	for _, name := range []string{"AlexNet v2", "ResNet-101 v2"} {
 		spec, ok := model.ByName(name)
@@ -658,6 +659,8 @@ func BenchmarkClusterBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(retainedPerOp(b, cfg).total, "retained-B/op")
 		})
 		b.Run(name+"/digest", func(b *testing.B) {
 			b.ReportAllocs()

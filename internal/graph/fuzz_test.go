@@ -2,12 +2,14 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzReadGraphJSON feeds arbitrary bytes to the graph decoder. It must
 // never panic, and a graph it accepts must re-encode to the same WriteJSON
-// bytes after a second round trip. The seeds are small and hand-written on
+// bytes after a second round trip, and still validate with the same
+// adjacency and bytes once frozen. The seeds are small and hand-written on
 // purpose: large seeds stall the mutator.
 func FuzzReadGraphJSON(f *testing.F) {
 	f.Add([]byte(`{"ops": [
@@ -47,6 +49,28 @@ func FuzzReadGraphJSON(f *testing.F) {
 		}
 		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
 			t.Fatalf("encoding changed across a round trip:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+
+		in := make([][]*Op, g.Len())
+		out := make([][]*Op, g.Len())
+		for _, op := range g.Ops() {
+			in[op.ID], out[op.ID] = op.In(), op.Out()
+		}
+		g.Freeze()
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph fails Validate once frozen: %v", err)
+		}
+		for _, op := range g.Ops() {
+			if !slices.Equal(op.In(), in[op.ID]) || !slices.Equal(op.Out(), out[op.ID]) {
+				t.Fatalf("freezing changed op %q's adjacency", op.Name)
+			}
+		}
+		var frozen bytes.Buffer
+		if err := g.WriteJSON(&frozen); err != nil {
+			t.Fatalf("frozen graph does not encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), frozen.Bytes()) {
+			t.Fatalf("encoding changed by freezing:\n%s\n%s", once.Bytes(), frozen.Bytes())
 		}
 	})
 }

@@ -7,6 +7,11 @@
 // exactly the inputs the paper's scheduling problem takes (§3.1: "the
 // partitioned graph is the computational graph with resource tags associated
 // to each op").
+//
+// A graph is built with AddOp and Connect, then frozen: Freeze drops the
+// name index, after which AddOp and Connect fail and Op looks names up by a
+// scan. A frozen graph is read-only; Clone gives an unfrozen copy to build
+// on.
 package graph
 
 import (
@@ -14,11 +19,16 @@ import (
 	"sort"
 )
 
-// Graph is a mutable DAG of ops. The zero value is not usable; call New.
+// Graph is a DAG of ops, mutable until Freeze. The zero value is not
+// usable; call New or NewSized.
 type Graph struct {
-	ops    []*Op
+	ops []*Op
+	// byName indexes ops by name while the graph is built; Freeze drops it,
+	// so a nil byName marks a frozen graph.
 	byName map[string]*Op
 	edges  int
+	// slab backs the first len(slab) ops AddOp creates (see NewSized).
+	slab []Op
 }
 
 // New returns an empty graph.
@@ -27,21 +37,42 @@ func New() *Graph {
 }
 
 // NewSized returns an empty graph with room for n ops, for callers that
-// know their op count up front.
+// know their op count up front. Its first n ops share one allocation; an
+// op past n gets its own.
 func NewSized(n int) *Graph {
-	return &Graph{ops: make([]*Op, 0, n), byName: make(map[string]*Op, n)}
+	return &Graph{ops: make([]*Op, 0, n), byName: make(map[string]*Op, n), slab: make([]Op, n)}
 }
 
+// Freeze makes the graph read-only and drops its name index, which a
+// graph that is done being built no longer needs: afterwards AddOp and
+// Connect return an error and Op scans. Freezing a frozen graph is a
+// no-op.
+func (g *Graph) Freeze() { g.byName = nil }
+
+// frozen reports whether Freeze has dropped the name index.
+func (g *Graph) frozen() bool { return g.byName == nil }
+
 // AddOp creates an op with the given unique name and kind and returns it.
-// It returns an error if the name is empty or already present.
+// It returns an error if the name is empty or already present, or if the
+// graph is frozen.
 func (g *Graph) AddOp(name string, kind Kind) (*Op, error) {
+	if g.frozen() {
+		return nil, fmt.Errorf("graph: add op %q to a frozen graph", name)
+	}
 	if name == "" {
 		return nil, fmt.Errorf("graph: empty op name")
 	}
 	if _, dup := g.byName[name]; dup {
 		return nil, fmt.Errorf("graph: duplicate op name %q", name)
 	}
-	op := &Op{ID: len(g.ops), Name: name, Kind: kind}
+	id := len(g.ops)
+	var op *Op
+	if id < len(g.slab) {
+		op = &g.slab[id]
+	} else {
+		op = new(Op)
+	}
+	*op = Op{ID: id, Name: name, Kind: kind}
 	g.ops = append(g.ops, op)
 	g.byName[name] = op
 	return op, nil
@@ -58,10 +89,15 @@ func (g *Graph) MustAddOp(name string, kind Kind) *Op {
 }
 
 // Connect adds the edge from → to. Self-edges and duplicate edges are
-// rejected; ops must belong to this graph.
+// rejected; ops must belong to this graph, and the graph must not be
+// frozen. from becomes the last of to's predecessors and to the last of
+// from's successors.
 func (g *Graph) Connect(from, to *Op) error {
 	if from == nil || to == nil {
 		return fmt.Errorf("graph: connect with nil op")
+	}
+	if g.frozen() {
+		return fmt.Errorf("graph: connect %q->%q in a frozen graph", from.Name, to.Name)
 	}
 	if from == to {
 		return fmt.Errorf("graph: self edge on %q", from.Name)
@@ -69,13 +105,13 @@ func (g *Graph) Connect(from, to *Op) error {
 	if !g.owns(from) || !g.owns(to) {
 		return fmt.Errorf("graph: connect %q->%q: op not in graph", from.Name, to.Name)
 	}
-	for _, o := range from.out {
+	for _, o := range from.Out() {
 		if o == to {
 			return fmt.Errorf("graph: duplicate edge %q->%q", from.Name, to.Name)
 		}
 	}
-	from.out = append(from.out, to)
-	to.in = append(to.in, from)
+	from.adj = append(from.adj, to)
+	to.addIn(from)
 	g.edges++
 	return nil
 }
@@ -94,8 +130,19 @@ func (g *Graph) MustConnect(from, to *Op) {
 	}
 }
 
-// Op returns the op with the given name, or nil if absent.
-func (g *Graph) Op(name string) *Op { return g.byName[name] }
+// Op returns the op with the given name, or nil if absent. On a frozen
+// graph it scans the ops in ID order.
+func (g *Graph) Op(name string) *Op {
+	if !g.frozen() {
+		return g.byName[name]
+	}
+	for _, op := range g.ops {
+		if op.Name == name {
+			return op
+		}
+	}
+	return nil
+}
 
 // Ops returns all ops in insertion (ID) order. The slice is shared; callers
 // must not mutate it.
@@ -167,7 +214,8 @@ func sortedKeys(set map[string]bool) []string {
 	return keys
 }
 
-// Clone returns a deep copy of the graph. Op IDs and names are preserved.
+// Clone returns a deep copy of the graph. Op IDs, names and successor
+// orders are preserved. The copy is not frozen, even when g is.
 func (g *Graph) Clone() *Graph {
 	c := NewSized(len(g.ops))
 	for _, op := range g.ops {
@@ -180,7 +228,7 @@ func (g *Graph) Clone() *Graph {
 	}
 	for _, op := range g.ops {
 		from := c.ops[op.ID]
-		for _, succ := range op.out {
+		for _, succ := range op.Out() {
 			c.MustConnect(from, c.ops[succ.ID])
 		}
 	}
@@ -189,8 +237,13 @@ func (g *Graph) Clone() *Graph {
 
 // Validate checks structural invariants: unique non-empty names, consistent
 // adjacency, every op tagged with a device and a resource, communication ops
-// on distinct resources from compute ops, and acyclicity.
+// on distinct resources from compute ops, and acyclicity. A frozen graph
+// has no name index, so it checks names against a set built for the call.
 func (g *Graph) Validate() error {
+	var seen map[string]bool
+	if g.frozen() {
+		seen = make(map[string]bool, len(g.ops))
+	}
 	for i, op := range g.ops {
 		if op.ID != i {
 			return fmt.Errorf("graph: op %q has ID %d at index %d", op.Name, op.ID, i)
@@ -198,8 +251,13 @@ func (g *Graph) Validate() error {
 		if op.Name == "" {
 			return fmt.Errorf("graph: op %d has empty name", i)
 		}
-		// Every op indexed under its own name means no two ops share one.
-		if g.byName[op.Name] != op {
+		if seen != nil {
+			if seen[op.Name] {
+				return fmt.Errorf("graph: op name %q is duplicated", op.Name)
+			}
+			seen[op.Name] = true
+		} else if g.byName[op.Name] != op {
+			// Every op indexed under its own name means no two ops share one.
 			return fmt.Errorf("graph: op name %q is duplicated or was changed after AddOp", op.Name)
 		}
 		if op.Device == "" {
@@ -208,7 +266,7 @@ func (g *Graph) Validate() error {
 		if op.Resource == "" {
 			return fmt.Errorf("graph: op %q has no resource tag", op.Name)
 		}
-		for _, succ := range op.out {
+		for _, succ := range op.Out() {
 			if !g.owns(succ) {
 				return fmt.Errorf("graph: op %q points outside graph", op.Name)
 			}

@@ -88,11 +88,11 @@ func TestMembershipIsByIdentity(t *testing.T) {
 		t.Fatalf("valid graph rejected: %v", err)
 	}
 
-	a.out = append(a.out, twin)
+	a.adj = append(a.adj, twin)
 	if err := g.Validate(); err == nil {
 		t.Fatal("successor from another graph accepted")
 	}
-	a.out = a.out[:0]
+	a.adj = a.adj[:a.numIn]
 
 	b.Name = "a"
 	if err := g.Validate(); err == nil {

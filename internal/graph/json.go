@@ -47,7 +47,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		})
 	}
 	for _, op := range g.ops {
-		for _, succ := range op.out {
+		for _, succ := range op.Out() {
 			jg.Edges = append(jg.Edges, [2]string{op.Name, succ.Name})
 		}
 	}

@@ -53,7 +53,9 @@ func (k Kind) IsCommunication() bool { return k == Recv || k == Send }
 // Op is a single node of a partitioned computational graph.
 //
 // An Op is created by Graph.AddOp and wired with Graph.Connect; the
-// navigation methods (In, Out) expose the adjacency read-only.
+// navigation methods (In, Out) expose the adjacency read-only. The struct
+// is 120 bytes on 64-bit platforms: both adjacency lists share one array,
+// predecessors first, with the in-degree packed beside Kind.
 type Op struct {
 	// ID is the dense index of the op inside its Graph, assigned by AddOp.
 	ID int
@@ -61,6 +63,8 @@ type Op struct {
 	Name string
 	// Kind classifies the op (compute, recv, send, ...).
 	Kind Kind
+	// numIn is the in-degree: adj[:numIn] are the predecessors.
+	numIn int32
 	// Device names the partition the op is assigned to, e.g. "worker:0" or
 	// "ps:1". Scheduling operates per device; the simulator runs all devices.
 	Device string
@@ -76,29 +80,43 @@ type Op struct {
 	// (recv/send/aggregate/read/update/variable); empty otherwise.
 	Param string
 
-	in  []*Op
-	out []*Op
+	// adj holds the predecessors in Connect order, then the successors in
+	// Connect order.
+	adj []*Op
 }
 
-// In returns the direct predecessors of the op. The slice is shared; callers
-// must not mutate it.
-func (o *Op) In() []*Op { return o.in }
+// addIn records from as the op's last predecessor, ahead of every
+// successor.
+func (o *Op) addIn(from *Op) {
+	o.adj = append(o.adj, nil)
+	copy(o.adj[o.numIn+1:], o.adj[o.numIn:])
+	o.adj[o.numIn] = from
+	o.numIn++
+}
 
-// Out returns the direct successors of the op. The slice is shared; callers
-// must not mutate it.
-func (o *Op) Out() []*Op { return o.out }
+// In returns the direct predecessors of the op, in the order Connect added
+// them. The slice shares the op's storage, so callers must not modify its
+// elements; its capacity ends at its length, so an append copies. Once
+// the graph is frozen the op's adjacency never changes.
+func (o *Op) In() []*Op { return o.adj[:o.numIn:o.numIn] }
+
+// Out returns the direct successors of the op, in the order Connect added
+// them, under the same rules as In. Until the graph is frozen, a Connect
+// into the op moves its successors within the shared storage, so a
+// result taken before that Connect is stale.
+func (o *Op) Out() []*Op { return o.adj[o.numIn:len(o.adj):len(o.adj)] }
 
 // NumIn returns the in-degree of the op.
-func (o *Op) NumIn() int { return len(o.in) }
+func (o *Op) NumIn() int { return int(o.numIn) }
 
 // NumOut returns the out-degree of the op.
-func (o *Op) NumOut() int { return len(o.out) }
+func (o *Op) NumOut() int { return len(o.adj) - int(o.numIn) }
 
 // IsRoot reports whether the op has no predecessors.
-func (o *Op) IsRoot() bool { return len(o.in) == 0 }
+func (o *Op) IsRoot() bool { return o.numIn == 0 }
 
 // IsLeaf reports whether the op has no successors.
-func (o *Op) IsLeaf() bool { return len(o.out) == 0 }
+func (o *Op) IsLeaf() bool { return len(o.adj) == int(o.numIn) }
 
 // String renders a compact human-readable description of the op.
 func (o *Op) String() string {

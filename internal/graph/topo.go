@@ -8,7 +8,7 @@ import "fmt"
 func (g *Graph) TopoSort() ([]*Op, error) {
 	indeg := make([]int, len(g.ops))
 	for _, op := range g.ops {
-		indeg[op.ID] = len(op.in)
+		indeg[op.ID] = op.NumIn()
 	}
 	// Ready list kept in ascending ID order for determinism.
 	var ready intHeap
@@ -22,7 +22,7 @@ func (g *Graph) TopoSort() ([]*Op, error) {
 		id := ready.pop()
 		op := g.ops[id]
 		order = append(order, op)
-		for _, succ := range op.out {
+		for _, succ := range op.Out() {
 			indeg[succ.ID]--
 			if indeg[succ.ID] == 0 {
 				ready.push(succ.ID)
@@ -45,7 +45,7 @@ func (g *Graph) CriticalPathLen() int {
 	longest := 0
 	for _, op := range order {
 		d := 1
-		for _, pred := range op.in {
+		for _, pred := range op.In() {
 			if depth[pred.ID]+1 > d {
 				d = depth[pred.ID] + 1
 			}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tictac/internal/graph"
@@ -150,7 +151,7 @@ func BuildWorker(spec Spec, mode Mode, batch int, device string, chanFor Channel
 	case Sequential, Residual:
 		var blockInput *graph.Op
 		for i, layer := range layers {
-			chain := buildChain(g, addCompute, fmt.Sprintf("fwd/l%03d", i), fwdBudget[i],
+			chain := buildChain(g, addCompute, indexed("fwd/l", i), fwdBudget[i],
 				perOpFLOPs(layerFLOPs[i], fwdBudget[i]))
 			for _, pr := range layer {
 				connectOnce(recvs[pr.Name], chain[0])
@@ -175,7 +176,7 @@ func BuildWorker(spec Spec, mode Mode, batch int, device string, chanFor Channel
 			lo, hi := m*4, min((m+1)*4, l)
 			branchLast := make([]*graph.Op, 0, hi-lo)
 			for i := lo; i < hi; i++ {
-				chain := buildChain(g, addCompute, fmt.Sprintf("fwd/l%03d", i), fwdBudget[i],
+				chain := buildChain(g, addCompute, indexed("fwd/l", i), fwdBudget[i],
 					perOpFLOPs(layerFLOPs[i], fwdBudget[i]))
 				for _, pr := range layers[i] {
 					connectOnce(recvs[pr.Name], chain[0])
@@ -184,7 +185,7 @@ func BuildWorker(spec Spec, mode Mode, batch int, device string, chanFor Channel
 				fwdLast[i] = chain[len(chain)-1]
 				branchLast = append(branchLast, fwdLast[i])
 			}
-			concat := addCompute(fmt.Sprintf("fwd/m%03d/concat", m), 0)
+			concat := addCompute(indexed("fwd/m", m)+"/concat", 0)
 			for _, b := range branchLast {
 				connectOnce(b, concat)
 			}
@@ -196,7 +197,7 @@ func BuildWorker(spec Spec, mode Mode, batch int, device string, chanFor Channel
 	if mode == Training {
 		bprev := prev // gradient flows back from the tail of the forward pass
 		for i := l - 1; i >= 0; i-- {
-			chain := buildChain(g, addCompute, fmt.Sprintf("bwd/l%03d", i), bwdBudget[i],
+			chain := buildChain(g, addCompute, indexed("bwd/l", i), bwdBudget[i],
 				perOpFLOPs(2*layerFLOPs[i], bwdBudget[i]))
 			connectOnce(bprev, chain[0])
 			connectOnce(fwdLast[i], chain[0]) // activations needed by backprop
@@ -290,11 +291,24 @@ func perOpFLOPs(layerFLOPs int64, chainLen int) int64 {
 // them in order.
 func buildChain(g *graph.Graph, add func(string, int64) *graph.Op, prefix string, n int, flops int64) []*graph.Op {
 	chain := make([]*graph.Op, n)
+	stem := prefix + "/op"
 	for j := 0; j < n; j++ {
-		chain[j] = add(fmt.Sprintf("%s/op%03d", prefix, j), flops)
+		chain[j] = add(indexed(stem, j), flops)
 		if j > 0 {
 			g.MustConnect(chain[j-1], chain[j])
 		}
 	}
 	return chain
+}
+
+// indexed returns stem followed by i in decimal, zero-padded to three
+// digits as fmt's %03d prints a non-negative int: an index of 1000 or
+// more prints in full.
+func indexed(stem string, i int) string {
+	var buf [64]byte
+	b := append(buf[:0], stem...)
+	for w := 100; w > 1 && i < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }

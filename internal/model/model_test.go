@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -337,6 +338,17 @@ func TestParseMode(t *testing.T) {
 	for _, name := range []string{"bogus", "inf", " training"} {
 		if _, err := ParseMode(name); err == nil || !strings.Contains(err.Error(), "training|inference") {
 			t.Errorf("ParseMode(%q): err = %v, want one naming the valid modes", name, err)
+		}
+	}
+}
+
+// TestIndexedMatchesSprintf pins template op names to the form fmt's %03d
+// gives them, across the padding widths and past 999, where %03d stops
+// padding.
+func TestIndexedMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 42, 99, 100, 999, 1000, 1234, 99999, 1 << 40} {
+		if got, want := indexed("bwd/l", i), fmt.Sprintf("bwd/l%03d", i); got != want {
+			t.Errorf("indexed(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

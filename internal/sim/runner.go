@@ -16,8 +16,8 @@ import (
 //
 // NewRunner precomputes everything about the graph that the old one-shot
 // Run derived on every call — the sorted resource index, a flat successor
-// adjacency (CSR), per-op resource/device indices, transfer keys and
-// recv/transfer flags — and every run reuses the per-run mutable state
+// adjacency (CSR), per-op resource/device indices and recv/transfer
+// flags — and every run reuses the per-run mutable state
 // (indegree, ready queues, busy flags, event queue, RNG, per-op intervals)
 // across calls. Its inner loop indexes dense tables instead of hashing
 // strings or calling the cost model.
@@ -54,7 +54,6 @@ type Runner struct {
 	succ       []int32   // successor op IDs in Out() order
 	indeg0     []int32   // baseline indegrees
 	initReady  [][]int32 // per-resource root op IDs in op-ID order
-	key        []string  // op ID → transfer key (core.Key)
 	isRecv     []bool
 	isTransfer []bool
 	totalRecvs int
@@ -97,7 +96,6 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		succOff:    make([]int32, n+1),
 		indeg0:     make([]int32, n),
 		initReady:  make([][]int32, len(resNames)),
-		key:        make([]string, n),
 		isRecv:     make([]bool, n),
 		isTransfer: make([]bool, n),
 	}
@@ -106,7 +104,6 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		r.opRes[i] = int32(resIndex[op.Resource])
 		r.opDev[i] = int32(devIndex[op.Device])
 		r.indeg0[i] = int32(op.NumIn())
-		r.key[i] = core.Key(op)
 		r.isRecv[i] = op.Kind == graph.Recv
 		r.isTransfer[i] = op.Kind == graph.Recv || op.Kind == graph.Send
 		r.succOff[i+1] = r.succOff[i] + int32(op.NumOut())
@@ -471,7 +468,7 @@ func (r *Runner) result(s *Summary) *Result {
 		}
 		start := len(backing)
 		for _, id := range ids {
-			backing = append(backing, r.key[id])
+			backing = append(backing, core.Key(r.ops[id]))
 		}
 		res.RecvStartOrder[r.devNames[di]] = backing[start:len(backing):len(backing)]
 	}
