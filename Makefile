@@ -64,15 +64,16 @@ doc:
 
 # Perf trajectory: run the simulator-core, cluster-protocol (quiet and
 # under membership churn), cluster-build (build, digest and reference
-# worker), schedule-cache-miss, service batch-throughput and cache-replay
-# microbenchmarks and emit BENCH_sim.json
+# worker), schedule computation, schedule-cache miss through the service
+# handler (BenchmarkScheduleMiss), service batch-throughput and
+# cache-replay microbenchmarks and emit BENCH_sim.json
 # (ns/op + allocs/op per model, plus variants/sec for /v1/batch and
 # hits/req per eviction policy). CI uploads the JSON as an artifact per
 # commit; the committed copy records the trajectory across PRs.
 # Two steps, not a pipe: a bench compile error/panic/FAIL must fail the
 # target (sh has no pipefail), not be masked into an empty JSON array.
 perf:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimRun|BenchmarkClusterRun|BenchmarkClusterChurn|BenchmarkClusterBuild|BenchmarkComputeSchedule|BenchmarkBatchThroughput|BenchmarkFleetForward|BenchmarkCacheReplay' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimRun|BenchmarkClusterRun|BenchmarkClusterChurn|BenchmarkClusterBuild|BenchmarkComputeSchedule|BenchmarkScheduleMiss|BenchmarkBatchThroughput|BenchmarkFleetForward|BenchmarkCacheReplay' -benchmem \
 		-benchtime $(PERF_BENCHTIME) ./internal/sim/ ./internal/cluster/ ./internal/service/ ./internal/trace/ > BENCH_sim.txt
 	$(GO) run ./cmd/benchjson -o BENCH_sim.json < BENCH_sim.txt
 	@cat BENCH_sim.json

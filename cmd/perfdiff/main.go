@@ -12,6 +12,12 @@
 // deliberately, not silently drop out of the gate). New rows in the current
 // run are reported but never fail — landing a benchmark precedes landing
 // its baseline.
+//
+// Before any row is judged, the frozen reference rows check the machine
+// (see machineRatio). When they say the current run's machine is not the
+// baseline's, perfdiff prints one MACHINE verdict instead of a verdict per
+// row and exits with code 3. Exit codes: 0 pass, 1 regression or missing
+// row, 2 bad flags or input, 3 machine differs.
 package main
 
 import (
@@ -19,10 +25,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 )
+
+// exitMachine is the exit code of a run whose reference rows say the
+// machine differs from the baseline's.
+const exitMachine = 3
+
+// referenceKey names the frozen reference rows in reports.
+const referenceKey = "BenchmarkSimRun/*/reference"
 
 // Row mirrors cmd/benchjson's output row (the BENCH_sim.json schema).
 type Row struct {
@@ -67,7 +81,38 @@ type diffLine struct {
 	// Change is the signed regression fraction: positive = worse than
 	// baseline, regardless of the metric's direction.
 	Change  float64 `json:"change"`
-	Verdict string  `json:"verdict"` // "ok" | "regression" | "missing" | "new"
+	Verdict string  `json:"verdict"` // "ok" | "regression" | "missing" | "new" | "machine"
+}
+
+// machineRatio returns the median, over the BenchmarkSimRun reference rows
+// present in both files, of current ns/op divided by baseline ns/op. Those
+// rows time simref, the frozen copy of the simulator that no change edits,
+// so only the machine moves them: a ratio far from 1 means every other
+// row's change would measure the machine, not the code. ok is false when
+// no reference row is in both files.
+func machineRatio(baseline, current []Row) (ratio float64, ok bool) {
+	cur := make(map[string]Row, len(current))
+	for _, r := range current {
+		cur[r.key()] = r
+	}
+	var ratios []float64
+	for _, b := range baseline {
+		if b.Benchmark != "BenchmarkSimRun" || b.Variant != "reference" || b.NsPerOp <= 0 {
+			continue
+		}
+		if c, found := cur[b.key()]; found && c.NsPerOp > 0 {
+			ratios = append(ratios, c.NsPerOp/b.NsPerOp)
+		}
+	}
+	n := len(ratios)
+	if n == 0 {
+		return 0, false
+	}
+	sort.Float64s(ratios)
+	if n%2 == 1 {
+		return ratios[n/2], true
+	}
+	return (ratios[n/2-1] + ratios[n/2]) / 2, true
 }
 
 // compare matches current rows against the baseline and returns per-row
@@ -137,6 +182,9 @@ func report(w io.Writer, lines []diffLine, threshold float64) {
 			fmt.Fprintf(w, "MISSING  %-55s %s (baseline %.4g, no current row)\n", l.Key, l.Metric, l.Baseline)
 		case "new":
 			fmt.Fprintf(w, "NEW      %-55s %s = %.4g (no baseline)\n", l.Key, l.Metric, l.Current)
+		case "machine":
+			fmt.Fprintf(w, "MACHINE  %-55s ran %.2f× the baseline's time (threshold %.0f%%): the machine differs, no row judged\n",
+				l.Key, l.Current, 100*threshold)
 		case "regression":
 			fmt.Fprintf(w, "REGRESS  %-55s %s %.4g -> %.4g (%+.1f%% worse, threshold %.0f%%)\n",
 				l.Key, l.Metric, l.Baseline, l.Current, 100*l.Change, 100*threshold)
@@ -178,18 +226,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfdiff: %v\n", err)
 		return 2
 	}
+	if ratio, ok := machineRatio(baseline, current); ok && math.Abs(ratio-1) > *threshold {
+		lines := []diffLine{{Key: referenceKey, Metric: "ns/op ratio", Baseline: 1, Current: ratio, Change: ratio - 1, Verdict: "machine"}}
+		report(stdout, lines, *threshold)
+		if err := writeLines(*jsonOut, lines); err != nil {
+			fmt.Fprintf(stderr, "perfdiff: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(stderr, "perfdiff: FAIL: machine differs: reference rows ran %.2f× %s's time\n", ratio, *baselinePath)
+		return exitMachine
+	}
 	lines, failed := compare(baseline, current, *threshold)
 	report(stdout, lines, *threshold)
-	if *jsonOut != "" {
-		payload, err := json.MarshalIndent(lines, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "perfdiff: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*jsonOut, append(payload, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "perfdiff: %v\n", err)
-			return 2
-		}
+	if err := writeLines(*jsonOut, lines); err != nil {
+		fmt.Fprintf(stderr, "perfdiff: %v\n", err)
+		return 2
 	}
 	if failed {
 		fmt.Fprintf(stderr, "perfdiff: FAIL: regression or missing row vs %s\n", *baselinePath)
@@ -197,6 +248,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stderr, "perfdiff: PASS: %d rows within %.0f%% of baseline\n", len(lines), 100**threshold)
 	return 0
+}
+
+// writeLines writes the verdicts as JSON to path; an empty path writes
+// nothing.
+func writeLines(path string, lines []diffLine) error {
+	if path == "" {
+		return nil
+	}
+	payload, err := json.MarshalIndent(lines, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(payload, '\n'), 0o644)
 }
 
 func main() {

@@ -163,3 +163,79 @@ func TestRunBadInputs(t *testing.T) {
 		t.Fatalf("exit %d with zero threshold, want 2", code)
 	}
 }
+
+// syntheticSuite returns a small suite with two frozen reference rows, the
+// runner rows beside them and one throughput row, each timed at scale×
+// the base figures; reference rows are scaled by refScale instead.
+func syntheticSuite(scale, refScale float64) []Row {
+	return []Row{
+		row("BenchmarkSimRun", "AlexNet v2", "reference", 360e3*refScale, nil),
+		row("BenchmarkSimRun", "AlexNet v2", "runner", 98e3*scale, nil),
+		row("BenchmarkSimRun", "VGG-16", "reference", 661e3*refScale, nil),
+		row("BenchmarkSimRun", "VGG-16", "runner", 193e3*scale, nil),
+		row("BenchmarkBatchThroughput", "AlexNet v2", "jobs1", 3.7e6*scale, map[string]float64{"variants/sec": 6400 / scale}),
+	}
+}
+
+// runSuites writes both suites and runs perfdiff on them at its default
+// threshold, returning the exit code, stdout and the JSON verdicts.
+func runSuites(t *testing.T, baseline, current []Row) (int, string, []diffLine) {
+	t.Helper()
+	dir := t.TempDir()
+	base, cur, jsonOut := filepath.Join(dir, "base.json"), filepath.Join(dir, "cur.json"), filepath.Join(dir, "diff.json")
+	writeRows(t, base, baseline)
+	writeRows(t, cur, current)
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-baseline", base, "-current", cur, "-json", jsonOut}, &stdout, &stderr)
+	payload, err := os.ReadFile(jsonOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []diffLine
+	if err := json.Unmarshal(payload, &lines); err != nil {
+		t.Fatal(err)
+	}
+	return code, stdout.String(), lines
+}
+
+// TestRunMachineDiffers: every row 3× slower, the frozen reference rows
+// included, is a slower machine, not slower code. perfdiff prints one
+// MACHINE verdict naming the ratio, judges no row and exits 3.
+func TestRunMachineDiffers(t *testing.T) {
+	code, stdout, lines := runSuites(t, syntheticSuite(1, 1), syntheticSuite(3, 3))
+	if code != exitMachine {
+		t.Fatalf("exit %d, want %d\n%s", code, exitMachine, stdout)
+	}
+	if strings.Contains(stdout, "REGRESS") || !strings.Contains(stdout, "MACHINE") || !strings.Contains(stdout, "3.00×") {
+		t.Errorf("want one MACHINE line naming 3.00× and no REGRESS line:\n%s", stdout)
+	}
+	if len(lines) != 1 || lines[0].Verdict != "machine" || lines[0].Key != referenceKey || lines[0].Current != 3 {
+		t.Errorf("json verdicts %+v, want one machine verdict at ratio 3", lines)
+	}
+}
+
+// TestRunSameMachineRegresses: the same 3× slowdown with the reference
+// rows unchanged is the code's doing, so every other row gets its own
+// regression verdict and perfdiff exits 1.
+func TestRunSameMachineRegresses(t *testing.T) {
+	code, stdout, lines := runSuites(t, syntheticSuite(1, 1), syntheticSuite(3, 1))
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\n%s", code, stdout)
+	}
+	if strings.Contains(stdout, "MACHINE") {
+		t.Errorf("unchanged reference rows gave a machine verdict:\n%s", stdout)
+	}
+	verdicts := map[string]string{}
+	for _, l := range lines {
+		verdicts[l.Key] = l.Verdict
+	}
+	for _, r := range syntheticSuite(1, 1) {
+		want := "regression"
+		if r.Variant == "reference" {
+			want = "ok"
+		}
+		if verdicts[r.key()] != want {
+			t.Errorf("%s: verdict %q, want %q", r.key(), verdicts[r.key()], want)
+		}
+	}
+}

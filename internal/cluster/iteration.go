@@ -38,6 +38,11 @@ type Iteration struct {
 	// Events reports the per-event recovery cost of every membership
 	// event that struck this iteration.
 	Events []EventOutcome
+	// SeedFree reports that no seeded draw could have changed the
+	// iteration: sim.Summary.SeedFree held for the reported run and, when
+	// a fail struck, for the aborted attempt. The same options under any
+	// other seed give the same iteration.
+	SeedFree bool
 }
 
 // EventOutcome is the recovery cost of one membership event.
@@ -220,6 +225,7 @@ func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter floa
 		return v.runner.Summarize(&plan, func(s *sim.Summary) {
 			it.Makespan = s.Makespan
 			it.ActiveWorkers = c.Config.Workers
+			it.SeedFree = s.SeedFree
 			v.observe(s, nil, it)
 		})
 	}
@@ -227,12 +233,13 @@ func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter floa
 	st := tl.stateAt(opts.Iteration)
 	recovery := 0.0
 	var abortedMakespan float64
+	probeSeedFree := true
 	if st.preActive != nil {
 		probe := plan
 		probe.Seed = abortSeed(opts.Seed)
 		probe.Scale = f.scaleFor(v, opts, st.preDegraded)
 		probe.Masked = f.maskFor(v, st.preActive)
-		err := v.runner.Summarize(&probe, func(s *sim.Summary) { abortedMakespan = s.Makespan })
+		err := v.runner.Summarize(&probe, func(s *sim.Summary) { abortedMakespan, probeSeedFree = s.Makespan, s.SeedFree })
 		if err != nil {
 			return err
 		}
@@ -251,6 +258,7 @@ func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter floa
 		it.Makespan = recovery + s.Makespan
 		it.RecoverySeconds = recovery
 		it.ActiveWorkers = st.activeN
+		it.SeedFree = probeSeedFree && s.SeedFree
 		// Straggler effect is measured within the reported run, over the
 		// workers that actually executed it.
 		v.observe(s, st.active, it)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func directSchedulePayload(t testing.TB, spec WorkloadSpec) []byte {
 		c:              c,
 		graphDigest:    core.GraphDigest(c.Graph),
 		platformDigest: res.key.platformDigest,
-	}, res)
+	}, res, new(atomic.Uint64))
 	if err != nil {
 		t.Fatalf("direct schedule: %v", err)
 	}

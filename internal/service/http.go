@@ -391,6 +391,10 @@ type MetricsResponse struct {
 		// reused an already-parsed graph (batch variants with overrides).
 		DerivedClusters uint64 `json:"derived_clusters"`
 		Schedules       uint64 `json:"schedules"`
+		// Predictions counts the schedule builds that simulated their
+		// jitter-0 iteration; the rest reused the seed-free makespan of
+		// an earlier build on the same cluster and policy.
+		Predictions uint64 `json:"predictions"`
 	} `json:"builds"`
 	// Fleet is the fleet-mode section (nil outside fleet mode): the ring
 	// view with per-peer forward/hedge/drain counters. See docs/fleet.md.
@@ -415,6 +419,7 @@ func (s *Service) Metrics() MetricsResponse {
 	resp.Builds.Clusters = s.clusterBuilds.Load()
 	resp.Builds.DerivedClusters = s.derivedClusters.Load()
 	resp.Builds.Schedules = s.scheduleBuilds.Load()
+	resp.Builds.Predictions = s.predictions.Load()
 	resp.Fleet = s.fleetMetrics()
 	return resp
 }

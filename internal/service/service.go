@@ -41,6 +41,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,6 +108,9 @@ type Service struct {
 	clusterBuilds   atomic.Uint64
 	derivedClusters atomic.Uint64
 	scheduleBuilds  atomic.Uint64
+	// predictions counts the schedule builds that simulated their jitter-0
+	// iteration; the others took a memoized seed-free makespan.
+	predictions atomic.Uint64
 
 	// scheduleBuildHook, when non-nil, runs inside every schedule build
 	// (test instrumentation for coalescing proofs).
@@ -131,6 +135,50 @@ type clusterEntry struct {
 	c              *cluster.Cluster
 	graphDigest    string
 	platformDigest string
+
+	mu sync.Mutex
+	// predictions memoizes, by policy name, what the schedule builds of a
+	// policy whose schedule is the same for every seed share on this
+	// cluster (see prediction). It holds no pointer, so it pins neither
+	// schedule nor graph, and it lives as long as the entry.
+	//
+	//tictac:guardedby mu
+	predictions map[string]prediction
+}
+
+// prediction is what every seed's schedule build shares for one policy on
+// one cluster when the policy's schedule does not depend on the seed: the
+// schedule digest and, when the jitter-0 iteration made no seeded choice
+// (cluster.Iteration.SeedFree), its makespan, which every seed then gets.
+type prediction struct {
+	scheduleDigest string
+	seedFree       bool
+	makespan       float64 // valid when seedFree
+}
+
+// recall returns the memoized prediction for r's policy, if any.
+func (ce *clusterEntry) recall(r resolved) (prediction, bool) {
+	if !r.sharedSchedule {
+		return prediction{}, false
+	}
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	p, ok := ce.predictions[r.policy]
+	return p, ok
+}
+
+// remember memoizes p for r's policy when its schedule is shared by every
+// seed. Concurrent first builds store equal values.
+func (ce *clusterEntry) remember(r resolved, p prediction) {
+	if !r.sharedSchedule {
+		return
+	}
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	if ce.predictions == nil {
+		ce.predictions = make(map[string]prediction)
+	}
+	ce.predictions[r.policy] = p
 }
 
 // scheduleKey is the schedule-cache key mandated by the determinism
@@ -297,21 +345,35 @@ type ScheduleResult struct {
 // computeScheduleResult is the single code path that turns a built cluster
 // into a schedule response. Every cache miss builds through it, and the
 // load generator's reference is a fresh in-process service, so a served
-// answer and its reference always come from this one function.
-func computeScheduleResult(ce *clusterEntry, r resolved) (*scheduleEntry, error) {
+// answer and its reference always come from this one function. A build
+// whose cluster holds a prediction for its policy takes the schedule
+// digest from it and, when the prediction is seed-free, the makespan too,
+// instead of simulating the jitter-0 iteration; both are what this build
+// would compute. Every build that simulates adds 1 to predictions.
+func computeScheduleResult(ce *clusterEntry, r resolved, predictions *atomic.Uint64) (*scheduleEntry, error) {
 	sc, err := ce.c.ComputeSchedule(r.policy, r.warmup, r.seed)
 	if err != nil {
 		return nil, err
 	}
-	// The predicted makespan reflects the fleet's iteration-0 timeline:
-	// membership events striking iteration 0 (an initially-absent worker, a
-	// failed shard) change the prediction, not just the digest.
-	it, err := ce.c.RunIteration(cluster.RunOptions{Schedule: sc, Seed: r.seed, Jitter: 0, Events: r.events})
-	if err != nil {
-		return nil, err
-	}
-	if err := checkFinite(it.Makespan); err != nil {
-		return nil, err
+	p, memoized := ce.recall(r)
+	if !p.seedFree {
+		// The predicted makespan reflects the fleet's iteration-0 timeline:
+		// membership events striking iteration 0 (an initially-absent
+		// worker, a failed shard) change the prediction, not just the
+		// digest.
+		predictions.Add(1)
+		it, err := ce.c.RunIteration(cluster.RunOptions{Schedule: sc, Seed: r.seed, Jitter: 0, Events: r.events})
+		if err != nil {
+			return nil, err
+		}
+		if err := checkFinite(it.Makespan); err != nil {
+			return nil, err
+		}
+		p.seedFree, p.makespan = it.SeedFree, it.Makespan
+		if !memoized {
+			p.scheduleDigest = core.ScheduleDigest(sc)
+			ce.remember(r, p)
+		}
 	}
 	result := ScheduleResult{
 		Model:             ce.c.Config.Model.Name,
@@ -323,12 +385,12 @@ func computeScheduleResult(ce *clusterEntry, r resolved) (*scheduleEntry, error)
 		Seed:              r.seed,
 		GraphDigest:       ce.graphDigest,
 		PlatformDigest:    ce.platformDigest,
-		ScheduleDigest:    core.ScheduleDigest(sc),
+		ScheduleDigest:    p.scheduleDigest,
 		MembershipDigest:  r.membershipDigest,
 		Algorithm:         string(core.AlgoNone),
 		Order:             []string{},
 		Rank:              map[string]int{},
-		PredictedMakespan: it.Makespan,
+		PredictedMakespan: p.makespan,
 	}
 	if sc != nil {
 		result.Algorithm = string(sc.Algorithm)
@@ -360,7 +422,7 @@ func (s *Service) scheduleFor(ce *clusterEntry, r resolved) (*scheduleEntry, cac
 		if s.scheduleBuildHook != nil {
 			s.scheduleBuildHook()
 		}
-		return computeScheduleResult(ce, r)
+		return computeScheduleResult(ce, r, &s.predictions)
 	})
 }
 

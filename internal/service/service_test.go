@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,7 +76,7 @@ func directScheduleResult(t *testing.T, req ScheduleRequest) []byte {
 		c:              c,
 		graphDigest:    core.GraphDigest(c.Graph),
 		platformDigest: res.key.platformDigest,
-	}, res)
+	}, res, new(atomic.Uint64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,6 +190,9 @@ type resolved struct {
 	// and 0 for every other policy.
 	warmup int
 	seed   int64
+	// sharedSchedule reports that the policy gives one schedule per cluster
+	// whatever the seed: none and the sched.PartitionOnly policies.
+	sharedSchedule bool
 
 	// Simulate protocol, normalized (jitter -1 = platform default).
 	warmupIters  int
@@ -231,12 +234,14 @@ func (spec WorkloadSpec) resolve() (resolved, error) {
 	// policy keeps requests that differ only in an ignored warmup in one
 	// cache slot and one batch computation.
 	readsWarmup := false
+	r.sharedSchedule = r.policy == sched.None
 	if r.policy != sched.None {
 		p, err := sched.New(r.policy, 0)
 		if err != nil {
 			return r, codeErr(http.StatusBadRequest, CodeUnknownPolicy, "%v", err)
 		}
 		_, readsWarmup = p.(sched.OracleOrderer)
+		_, r.sharedSchedule = p.(sched.PartitionOnly)
 	}
 	workers, ps := spec.Workers, spec.PS
 	if workers == 0 {

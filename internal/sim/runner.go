@@ -176,6 +176,10 @@ type Summary struct {
 	Makespan float64
 	// ReorderEvents counts injected schedule inversions.
 	ReorderEvents int
+	// SeedFree reports that no seeded draw could have changed the run: the
+	// plan has no jitter and no reorder injection, and no pick chose among
+	// two or more candidates. Such a run is the same under every seed.
+	SeedFree bool
 	// Start and End are op ID → execution interval. They are meaningful
 	// only for executed ops (see Executed); a masked op's entries are stale.
 	Start, End []float64
@@ -237,6 +241,8 @@ type runState struct {
 	now      float64
 	seq      int32
 	reorders int
+	// chose records that a pick drew among two or more candidates.
+	chose bool
 }
 
 func (r *Runner) newState() *runState {
@@ -388,6 +394,7 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 	st.now = 0
 	st.seq = 0
 	st.reorders = 0
+	st.chose = false
 
 	st.cur = -1
 	for ri := range r.resNames {
@@ -441,6 +448,7 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 	}
 	out.Makespan = st.now
 	out.ReorderEvents = st.reorders
+	out.SeedFree = p.Jitter == 0 && p.ReorderProb == 0 && !st.chose
 	return nil
 }
 
@@ -573,7 +581,9 @@ func (st *runState) complete(ri int32, e slot) {
 // lowest priority number plus the unprioritized ops; the choice among them
 // is uniformly random. It consumes exactly the RNG draws of the pre-Runner
 // implementation (including the Intn(1) draw when the candidate set is a
-// singleton), so streams are bit-identical. The second return value
+// singleton), so streams are bit-identical. Each draw among two or more
+// candidates sets st.chose, which Summary.SeedFree reads; an Intn(1) draw
+// returns 0 under every seed, so it does not. The second return value
 // reports whether an injected reorder error displaced the top-priority
 // transfer.
 //
@@ -584,6 +594,7 @@ func (r *Runner) pick(st *runState, ready []int32) (int, bool) {
 	}
 	pos := st.pos
 	if pos == nil {
+		st.chose = true
 		return st.rng.Intn(len(ready)), false
 	}
 	best, second := -1, -1
@@ -605,6 +616,7 @@ func (r *Runner) pick(st *runState, ready []int32) (int, bool) {
 	}
 	if best < 0 {
 		// Nothing is prioritized: every op is a candidate.
+		st.chose = true
 		return st.rng.Intn(len(ready)), false
 	}
 	// Injected gRPC-style inversion: dispatch the runner-up. Only network
@@ -615,6 +627,9 @@ func (r *Runner) pick(st *runState, ready []int32) (int, bool) {
 		return second, true
 	}
 	// The candidates are the unprioritized ops in list order, then best.
+	if unprio > 0 {
+		st.chose = true
+	}
 	k := st.rng.Intn(unprio + 1)
 	if k == unprio {
 		return best, false
