@@ -17,7 +17,7 @@ COVER_FLOOR ?= 82.5
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test benchmark-test race bench fmt vet doc perf cover lint lint-internal lint-tools ci
+.PHONY: all build test benchmark-test race bench fmt vet doc perf cover lint lint-internal lint-tools fma-check corpus-replay ci
 
 all: build
 
@@ -109,8 +109,30 @@ ifdef JSON
 endif
 	$(GO) vet -vettool=bin/tictaclint ./...
 
+# FMA gate: response bytes must not depend on the CPU. On arm64 (and
+# other targets with fused multiply-add) the compiler may fuse x*y + z into
+# one instruction that rounds once, where amd64 rounds the product and the
+# sum separately; an explicit float64(x*y) conversion forbids the fusion
+# (Go spec, "Floating-point operators"). Cross-compile tictacd for
+# linux/arm64 and fail on any fused instruction in the packages whose
+# arithmetic reaches a response.
+fma-check:
+	GOOS=linux GOARCH=arm64 $(GO) build -o bin/tictacd-arm64 ./cmd/tictacd
+	$(GO) tool objdump -s '^tictac/internal/(sim|cluster|core|sched|cache|timing|service)\.' bin/tictacd-arm64 > bin/tictacd-arm64.asm
+	@if grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)' bin/tictacd-arm64.asm; then \
+		echo "FAIL: fused multiply-add in the daemon's arm64 build (wrap the product in float64(...))"; exit 1; fi
+
+# Corpus replay through a built daemon: TestResponseCorpus pins every
+# response byte in process; this sends the corpus's non-fleet requests,
+# byte for byte and in file order, over HTTP to a tictacd started with the
+# corpus services' -max-batch 16, and compares each status and SHA-256
+# with the committed responses.json.
+corpus-replay:
+	$(GO) build -o bin/tictacd ./cmd/tictacd
+	$(GO) run internal/service/testdata/corpus/replay.go bin/tictacd internal/service/testdata/corpus
+
 lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-ci: fmt vet doc build test benchmark-test lint-internal bench
+ci: fmt vet doc build test benchmark-test lint-internal fma-check bench

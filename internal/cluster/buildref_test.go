@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -251,15 +252,19 @@ func frozenShapes() [][2]int {
 	return shapes
 }
 
-// TestBuildMatchesFrozenBuild pins the template-stamped Build, the ID-range
-// reference worker and the one-buffer graph digest to the frozen
-// per-worker construction, for every Table 1 model in both modes over
-// several shapes, one and two iterations, with and without a shared PS
-// NIC. A WithPlatforms child's reference worker is pinned too.
+// TestBuildMatchesFrozenBuild pins the template-stamped Build, the
+// template-built reference worker and the one-buffer graph digest to the
+// frozen per-worker construction, for every Table 1 model in both modes
+// over several shapes, one and two iterations, with and without a shared
+// PS NIC. A WithPlatforms child's reference worker is pinned too, and so
+// is every configuration compacted, once two GCs have collected its graph
+// and reference worker: the reference worker, built again from the
+// template, and the graph, rebuilt, are the frozen ones.
 func TestBuildMatchesFrozenBuild(t *testing.T) {
 	for _, spec := range model.Catalog() {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
+			var compacted []frozenCheck
 			for _, mode := range []model.Mode{model.Training, model.Inference} {
 				for _, shape := range frozenShapes() {
 					for _, iters := range []int{1, 2} {
@@ -267,16 +272,31 @@ func TestBuildMatchesFrozenBuild(t *testing.T) {
 							cfg := Config{Model: spec, Mode: mode, Workers: shape[0], PS: shape[1],
 								Iterations: iters, SharedPSNIC: nic, Platform: timing.EnvG()}
 							label := fmt.Sprintf("%s/%s/%dx%d/iters=%d/nic=%v", spec.Name, mode, shape[0], shape[1], iters, nic)
-							checkFrozenBuild(t, label, cfg)
+							compacted = append(compacted, checkFrozenBuild(t, label, cfg))
 						}
 					}
 				}
+			}
+			runtime.GC()
+			runtime.GC()
+			for _, fc := range compacted {
+				fc.check(t)
 			}
 		})
 	}
 }
 
-func checkFrozenBuild(t *testing.T, label string, cfg Config) {
+// frozenCheck is a compacted cluster and the exact digests (see
+// exactDigest) of its frozen graph and reference worker.
+type frozenCheck struct {
+	label      string
+	c          *Cluster
+	graph, ref string
+}
+
+// checkFrozenBuild pins cfg's build to the frozen construction and returns
+// the cluster compacted, for check once a GC has collected its graph.
+func checkFrozenBuild(t *testing.T, label string, cfg Config) frozenCheck {
 	t.Helper()
 	c, err := Build(cfg)
 	if err != nil {
@@ -300,7 +320,72 @@ func checkFrozenBuild(t *testing.T, label string, cfg Config) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	mustEqualGraph(t, label+"/child-reference", child.buildReferenceWorker(), wantRef)
+	mustEqualGraph(t, label+"/child-reference", child.held.buildReferenceWorker(), wantRef)
+	if err := c.Compact(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return frozenCheck{label: label, c: c, graph: exactDigest(want), ref: exactDigest(wantRef)}
+}
+
+// check requires the compacted cluster's graph and reference worker to be
+// collected, and the reference worker built again and the rebuilt graph to
+// be the frozen ones.
+func (fc frozenCheck) check(t *testing.T) {
+	t.Helper()
+	h := fc.c.held
+	if h.holdsGraph() || h.holdsReference() {
+		t.Fatalf("%s: a compacted cluster's graph or reference worker survived two GCs", fc.label)
+	}
+	if got := exactDigest(fc.c.ReferenceWorker()); got != fc.ref {
+		t.Fatalf("%s: the reference worker built again differs from the frozen one", fc.label)
+	}
+	g, err := fc.c.graph()
+	if err != nil {
+		t.Fatalf("%s: rebuilding the graph: %v", fc.label, err)
+	}
+	if got := exactDigest(g); got != fc.graph {
+		t.Fatalf("%s: the rebuilt graph differs from the frozen one", fc.label)
+	}
+}
+
+// holdsReference reports whether the holder's weak pointer to the
+// reference worker still resolves.
+func (h *graphHolder) holdsReference() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.ref.Value() != nil
+}
+
+// exactDigest hashes everything mustEqualGraph compares: every op in ID
+// order with its fields, and its In and Out IDs in order.
+func exactDigest(g *graph.Graph) string {
+	h := sha256.New()
+	var buf [8]byte
+	writeInt := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	writeString := func(s string) {
+		writeInt(int64(len(s)))
+		h.Write([]byte(s))
+	}
+	for _, op := range g.Ops() {
+		writeInt(int64(op.ID))
+		writeString(op.Name)
+		h.Write([]byte{byte(op.Kind)})
+		writeString(op.Device)
+		writeString(op.Resource)
+		writeInt(op.Bytes)
+		writeInt(op.FLOPs)
+		writeString(op.Param)
+		for _, adj := range [][]*graph.Op{op.In(), op.Out()} {
+			writeInt(int64(len(adj)))
+			for _, o := range adj {
+				writeInt(int64(o.ID))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestConfigOpsMatchesBuild pins Config.Ops, the op count predicted from

@@ -12,6 +12,7 @@ package cluster
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"tictac/internal/core"
@@ -184,30 +185,36 @@ func (c Config) knownChannel(res string) bool {
 
 // Cluster is a built multi-device execution graph plus its metadata.
 //
-// A Cluster is read-only after Build: RunIteration, Run, ComputeSchedule and
-// ReferenceWorker only read the graph, so one Cluster may be shared by
-// concurrent goroutines — the parallel bench engine relies on this for the
-// repeated-run experiments (Figure 12, unique orders). Simulations run as
-// summary runs of one lazily-built, concurrency-safe sim.Runner per graph,
-// fed from two compiled inputs: the per-graph factor-group and efficiency
-// index (shared with WithPlatforms children) and this Cluster's own cost
-// table. The reference worker partition is likewise one read-only graph per
-// cluster graph, shared with WithPlatforms children and held weakly, so it
-// is built once while anyone uses it and pins no memory after; so is the
-// schedule of each sched.PartitionOnly policy. ChainRecvsByOrder clones
-// before mutating.
+// A Cluster is read-only after Build (and Compact): RunIteration, Run,
+// ComputeSchedule and ReferenceWorker only read it, so one Cluster may be
+// shared by concurrent goroutines — the parallel bench engine relies on
+// this for the repeated-run experiments (Figure 12, unique orders).
+// Simulations run as summary runs of one lazily-built, concurrency-safe
+// sim.Runner per graph, fed from two compiled inputs: the per-graph
+// factor-group and efficiency index (shared with WithPlatforms children)
+// and this Cluster's own cost table. None of them reads the graph's ops, so
+// Compact lets a long-lived cluster drop the graph and keep only those
+// tables. The graph, the reference worker partition and the schedule of
+// each sched.PartitionOnly policy are then each one read-only object per
+// cluster graph, shared with WithPlatforms children and held weakly: built
+// once while anyone uses it, pinning no memory after, and built again op
+// for op the same when next needed. ChainRecvsByOrder clones before
+// mutating.
 type Cluster struct {
 	Config Config
-	// Graph is the full multi-device DAG executed each iteration.
+	// Graph is the full multi-device DAG executed each iteration. Build
+	// sets it; Compact clears it, and the cluster then rebuilds the graph
+	// where it still reads ops.
 	Graph *graph.Graph
 	// Shard maps parameter name → PS index.
 	Shard map[string]int
 	// Params are the model's parameter tensors.
 	Params []model.Param
 
-	// ref holds the reference worker partition; shared by every
-	// WithPlatforms child of the same graph.
-	ref *refHolder
+	// held is what every Cluster of this graph shares with its
+	// WithPlatforms children: the graph's inputs and its weakly held
+	// artifacts.
+	held *graphHolder
 
 	// view is the graph compiled for the simulator, built on first use.
 	viewOnce sync.Once
@@ -218,6 +225,7 @@ type Cluster struct {
 	// freed with the Cluster.
 	costOnce sync.Once
 	costs    []float64
+	costErr  error
 }
 
 // simView returns the graph's compiled simulator view, building it on
@@ -231,19 +239,62 @@ func (c *Cluster) simView() (*simView, error) {
 
 // costTable returns the cluster's cost model compiled into a dense table:
 // Oracle.Time of every op, indexed by op ID. Built once per Cluster — a
-// WithPlatforms child builds its own — so the simulator's dispatch reads a
-// slice instead of calling the oracle.
-func (c *Cluster) costTable() []float64 {
+// WithPlatforms child builds its own, the one place a compacted cluster's
+// runs read ops — so the simulator's dispatch reads a slice instead of
+// calling the oracle.
+func (c *Cluster) costTable() ([]float64, error) {
 	c.costOnce.Do(func() {
+		g, err := c.graph()
+		if err != nil {
+			c.costErr = err
+			return
+		}
 		oracle := c.oracle()
-		ops := c.Graph.Ops()
+		ops := g.Ops()
 		costs := make([]float64, len(ops))
 		for _, op := range ops {
 			costs[op.ID] = oracle.Time(op)
 		}
 		c.costs = costs
 	})
-	return c.costs
+	return c.costs, c.costErr
+}
+
+// graph returns the cluster graph: the Graph field, or after Compact the
+// weakly held graph, rebuilt when a GC has collected it.
+func (c *Cluster) graph() (*graph.Graph, error) {
+	if c.Graph != nil {
+		return c.Graph, nil
+	}
+	return c.held.graph()
+}
+
+// Compact makes c a cached cluster's size. It compiles everything a
+// simulation of c reads — the simulator view (the sim.Runner tables, factor
+// groups and efficiency index) and c's cost table — and then drops the
+// graph: c.Graph becomes nil, and the graph is held weakly like the
+// reference worker. Simulations, schedules and reference workers need no
+// graph; a WithPlatforms child's first cost table, TraceRuns (tac's traced
+// warmup) and ChainRecvsByOrder read ops, and rebuild the graph when a GC
+// has collected it.
+//
+// Call Compact before sharing c or deriving from it; it is not safe
+// concurrently with other calls on c.
+func (c *Cluster) Compact() error {
+	if c.Graph == nil {
+		return nil
+	}
+	v, err := c.simView()
+	if err != nil {
+		return err
+	}
+	if _, err := c.costTable(); err != nil {
+		return err
+	}
+	c.held.hold(c.Graph)
+	v.runner.DropGraph(c.held.graph)
+	c.Graph = nil
+	return nil
 }
 
 // WorkerDevice returns the device tag of worker i.
@@ -307,8 +358,18 @@ func Build(cfg Config) (*Cluster, error) {
 	}
 	params := cfg.Model.ParamTensors()
 	shard := shardParams(params, cfg.PS)
-	iters := cfg.iterations()
+	full, err := buildGraph(cfg, params, shard)
+	if err != nil {
+		return nil, err
+	}
+	held := &graphHolder{cfg: cfg, params: params, shard: shard}
+	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, held: held}, nil
+}
 
+// buildGraph builds and freezes the cluster graph of cfg, whose parameters
+// are sharded by shard.
+func buildGraph(cfg Config, params []model.Param, shard map[string]int) (*graph.Graph, error) {
+	iters := cfg.iterations()
 	tmpl, err := model.BuildWorker(cfg.Model, cfg.Mode, cfg.Batch(), WorkerDevice(0),
 		func(param string) string { return cfg.channel(0, shard[param]) })
 	if err != nil {
@@ -341,7 +402,6 @@ func Build(cfg Config) (*Cluster, error) {
 	prevWorkerDone := make([][]*graph.Op, cfg.Workers)
 	// base[w] is the ID of the current iteration's first op of worker w.
 	base := make([]int, cfg.Workers)
-	ref := new(refHolder)
 
 	for it := 0; it < iters; it++ {
 		ipfx := ""
@@ -384,9 +444,6 @@ func Build(cfg Config) (*Cluster, error) {
 				prevWorkerDone[w] = leaves
 			}
 		}
-		if it == 0 {
-			ref.lo, ref.hi = base[0], base[0]+tmpl.Len()
-		}
 
 		// PS-side aggregation for training: every worker's gradient send
 		// feeds the parameter's aggregate, which feeds its update.
@@ -416,7 +473,7 @@ func Build(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	full.Freeze()
-	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, ref: ref}, nil
+	return full, nil
 }
 
 // stamp is a worker template plus the per-worker tags a replica of it
@@ -518,7 +575,9 @@ func (st *stamp) stampInto(g *graph.Graph, w int, prefix string) error {
 // every output to a fresh Build of the same configuration (regression-
 // tested), at none of the graph-construction cost; the batched what-if API
 // leans on this to amortize one graph across many platform variants. Only
-// the cost table is the child's own, compiled on its first run.
+// the cost table is the child's own, compiled on its first run. The child
+// of a compacted cluster is compact too: its first cost table reads the
+// weakly held graph, rebuilding it if a GC has collected it.
 //
 // The receiver and the result are both read-only after this call and may be
 // used concurrently, like any built Cluster.
@@ -530,7 +589,7 @@ func (c *Cluster) WithPlatforms(platform timing.Platform, platforms *timing.Plat
 	if err != nil {
 		return nil, err
 	}
-	nc := &Cluster{Config: cfg, Graph: c.Graph, Shard: c.Shard, Params: c.Params, ref: c.ref}
+	nc := &Cluster{Config: cfg, Graph: c.Graph, Shard: c.Shard, Params: c.Params, held: c.held}
 	// Adopt the parent's per-graph view. If it failed to build, leave the
 	// child lazy: it would fail identically on first use.
 	if v, verr := c.simView(); verr == nil {
@@ -586,22 +645,72 @@ func (c *Cluster) refPrefix() string {
 	return "w0/"
 }
 
-// refHolder is one cluster graph's reference worker partition and the
-// schedules of its sched.PartitionOnly policies, all held weakly: while any
-// caller still uses one, every call returns it; once a GC has collected
-// it, the next call builds it again.
-type refHolder struct {
-	// lo and hi bound the op IDs of worker 0's first-iteration replica in
-	// the cluster graph. Build sets them before the holder is shared, and
-	// they never change after.
-	lo, hi int
+// Rebuild counts: full graphs rebuilt for compacted clusters after a GC
+// collected them, and reference workers built from a template. They are
+// process-wide because the service's replays that read them span many
+// clusters, some evicted before the count is read.
+var graphRebuilds, referenceBuilds atomic.Uint64
+
+// Rebuilds reports how many full cluster graphs this process has rebuilt
+// for compacted clusters and how many reference workers it has built. Tests
+// read it to show where a compact cluster pays for a build; a test that
+// compares two readings must not run beside another that builds clusters.
+func Rebuilds() (graphs, references uint64) {
+	return graphRebuilds.Load(), referenceBuilds.Load()
+}
+
+// graphHolder is what every Cluster of one graph shares: the inputs that
+// build the graph and its reference worker, and the artifacts built from
+// them, all held weakly — the graph once its cluster is compacted, the
+// reference worker partition and the schedules of its sched.PartitionOnly
+// policies. While any caller
+// still uses one, every call returns it; once a GC has collected it, the
+// next call builds it again, op for op the same.
+type graphHolder struct {
+	// cfg, params and shard build the graph and the reference worker.
+	// Build sets them before the holder is shared, and they never change
+	// after.
+	cfg    Config
+	params []model.Param
+	shard  map[string]int
+
+	// fullMu serializes rebuilds of the graph, so concurrent callers wait
+	// for one rebuild instead of each paying for their own.
+	fullMu sync.Mutex
+	//tictac:guardedby fullMu
+	full weak.Pointer[graph.Graph]
 
 	mu sync.Mutex
 	//tictac:guardedby mu
-	g weak.Pointer[graph.Graph]
+	ref weak.Pointer[graph.Graph]
 	// orders maps a policy name to its schedule of the reference worker.
 	//tictac:guardedby mu
 	orders map[string]weak.Pointer[core.Schedule]
+}
+
+// hold starts holding g, the cluster graph, weakly.
+func (h *graphHolder) hold(g *graph.Graph) {
+	h.fullMu.Lock()
+	defer h.fullMu.Unlock()
+	h.full = weak.Make(g)
+}
+
+// graph returns the held cluster graph, rebuilding it when a GC has
+// collected it. Build made the graph from these inputs without error, so a
+// rebuild fails only if the machine does.
+func (h *graphHolder) graph() (*graph.Graph, error) {
+	h.fullMu.Lock()
+	defer h.fullMu.Unlock()
+	if g := h.full.Value(); g != nil {
+		return g, nil
+	}
+	g, err := buildGraph(h.cfg, h.params, h.shard)
+	if err != nil {
+		return nil, err
+	}
+	graphRebuilds.Add(1)
+	h.full = weak.Make(g)
+	return g, nil
 }
 
 // ReferenceWorker returns the partition of worker 0 (first iteration) with
@@ -613,42 +722,33 @@ type refHolder struct {
 // cluster or a WithPlatforms child returns the same graph while any caller
 // still holds it. It is held weakly, so a cluster nobody is scheduling pins
 // no memory for it; after a GC has collected it the next call builds it
-// again, op for op the same.
+// again, op for op the same. It is built from the worker template, not
+// copied out of the graph, so a compacted cluster builds it without its
+// graph.
 func (c *Cluster) ReferenceWorker() *graph.Graph {
-	c.ref.mu.Lock()
-	defer c.ref.mu.Unlock()
-	if g := c.ref.g.Value(); g != nil {
+	h := c.held
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if g := h.ref.Value(); g != nil {
 		return g
 	}
-	g := c.buildReferenceWorker()
-	c.ref.g = weak.Make(g)
+	g := h.buildReferenceWorker()
+	h.ref = weak.Make(g)
 	return g
 }
 
-// buildReferenceWorker copies the reference partition out of the full
-// graph: the op ID range Build recorded, names un-prefixed, with the edges
-// that stay inside it.
-func (c *Cluster) buildReferenceWorker() *graph.Graph {
-	lo, hi := c.ref.lo, c.ref.hi
-	n := len(c.refPrefix())
-	src := c.Graph.Ops()[lo:hi]
-	out := graph.NewSized(len(src))
-	for _, op := range src {
-		r := out.MustAddOp(op.Name[n:], op.Kind)
-		r.Device, r.Resource = op.Device, op.Resource
-		r.Bytes, r.FLOPs, r.Param = op.Bytes, op.FLOPs, op.Param
-	}
-	ops := out.Ops()
-	for _, op := range src {
-		from := ops[op.ID-lo]
-		for _, succ := range op.Out() {
-			if succ.ID >= lo && succ.ID < hi {
-				out.MustConnect(from, ops[succ.ID-lo])
-			}
-		}
-	}
-	out.Freeze()
-	return out
+// buildReferenceWorker builds worker 0's partition afresh: the template
+// Build stamps every replica from, copied so that every op's edges are in
+// the order a stamped replica's are, and frozen. Build made the same
+// template without error, so it cannot fail here.
+func (h *graphHolder) buildReferenceWorker() *graph.Graph {
+	cfg, shard := h.cfg, h.shard
+	tmpl := model.MustBuildWorker(cfg.Model, cfg.Mode, cfg.Batch(), WorkerDevice(0),
+		func(param string) string { return cfg.channel(0, shard[param]) })
+	g := tmpl.Clone()
+	g.Freeze()
+	referenceBuilds.Add(1)
+	return g
 }
 
 // ComputeSchedule runs the ordering wizard for the cluster under the named
@@ -706,10 +806,10 @@ func (c *Cluster) ComputeSchedule(policy string, warmupIters int, seed int64) (*
 // takes it, and publishes only into an empty slot, so concurrent first
 // calls all return the first schedule published.
 func (c *Cluster) partitionOrder(p sched.Policy, plat *timing.Platform) (*core.Schedule, error) {
-	name := p.Name()
-	c.ref.mu.Lock()
-	s := c.ref.orders[name].Value()
-	c.ref.mu.Unlock()
+	name, h := p.Name(), c.held
+	h.mu.Lock()
+	s := h.orders[name].Value()
+	h.mu.Unlock()
 	if s != nil {
 		return s, nil
 	}
@@ -717,15 +817,15 @@ func (c *Cluster) partitionOrder(p sched.Policy, plat *timing.Platform) (*core.S
 	if err != nil {
 		return nil, err
 	}
-	c.ref.mu.Lock()
-	defer c.ref.mu.Unlock()
-	if held := c.ref.orders[name].Value(); held != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if held := h.orders[name].Value(); held != nil {
 		return held, nil
 	}
-	if c.ref.orders == nil {
-		c.ref.orders = make(map[string]weak.Pointer[core.Schedule])
+	if h.orders == nil {
+		h.orders = make(map[string]weak.Pointer[core.Schedule])
 	}
-	c.ref.orders[name] = weak.Make(s)
+	h.orders[name] = weak.Make(s)
 	return s, nil
 }
 
@@ -741,8 +841,20 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 	if err != nil {
 		return nil, err
 	}
+	costs, err := c.costTable()
+	if err != nil {
+		return nil, err
+	}
+	g, err := c.graph()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, g.Len())
+	for i, op := range g.Ops() {
+		names[i] = op.Name
+	}
 	tracer := timing.NewTracer()
-	plan := sim.Plan{Costs: c.costTable(), Jitter: c.Config.Platform.Jitter, Tracer: tracer}
+	plan := sim.Plan{Costs: costs, Jitter: c.Config.Platform.Jitter, Tracer: tracer, Names: names}
 	for i := 0; i < warmupIters; i++ {
 		plan.Seed = seed + int64(i)
 		if err := v.runner.Summarize(&plan, func(*sim.Summary) {}); err != nil {
@@ -783,7 +895,11 @@ func (c *Cluster) TraceOracle(warmupIters int, seed int64, kind timing.EstimateK
 // because each transfer then waits for the previous one's completion,
 // serializing across channels and preventing pipelining.
 func (c *Cluster) ChainRecvsByOrder(order []string) (*graph.Graph, error) {
-	g := c.Graph.Clone()
+	full, err := c.graph()
+	if err != nil {
+		return nil, err
+	}
+	g := full.Clone()
 	iters := c.Config.iterations()
 	for it := 0; it < iters; it++ {
 		ipfx := ""

@@ -212,8 +212,12 @@ func (c *Cluster) jitter(opts RunOptions) float64 {
 //
 //tictac:hotpath
 func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter float64, f *factors, it *Iteration) error {
+	costs, err := c.costTable()
+	if err != nil {
+		return err
+	}
 	plan := sim.Plan{
-		Costs:       c.costTable(),
+		Costs:       costs,
 		Groups:      v.groups,
 		Schedule:    opts.Schedule,
 		Seed:        opts.Seed,
@@ -249,7 +253,7 @@ func (c *Cluster) iterate(v *simView, opts RunOptions, tl *Timeline, jitter floa
 				maxPoint = e.failPoint()
 			}
 		}
-		recovery += maxPoint * abortedMakespan
+		recovery += float64(maxPoint * abortedMakespan)
 	}
 	plan.Scale = f.scaleFor(v, opts, st.degraded)
 	plan.Masked = f.maskFor(v, st.active)

@@ -71,7 +71,7 @@ func TestPartitionOrderShared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := p.Order(c.buildReferenceWorker(), &plat)
+			fresh, err := p.Order(c.held.buildReferenceWorker(), &plat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,9 +151,9 @@ func TestPartitionOrderHeldWeakly(t *testing.T) {
 	}
 	want := digest()
 	held := func() bool {
-		c.ref.mu.Lock()
-		defer c.ref.mu.Unlock()
-		return c.ref.orders[sched.TIC].Value() != nil
+		c.held.mu.Lock()
+		defer c.held.mu.Unlock()
+		return c.held.orders[sched.TIC].Value() != nil
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for held() && time.Now().Before(deadline) {

@@ -89,7 +89,11 @@ func TestIterationEfficiencyParity(t *testing.T) {
 			}
 			want := refIterationEfficiency(c, res)
 			var got float64
-			plan := sim.Plan{Costs: c.costTable(), Schedule: s, Seed: seed, Jitter: c.Config.Platform.Jitter}
+			costs, err := c.costTable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := sim.Plan{Costs: costs, Schedule: s, Seed: seed, Jitter: c.Config.Platform.Jitter}
 			if err := v.runner.Summarize(&plan, func(sum *sim.Summary) { got = v.efficiency(sum) }); err != nil {
 				t.Fatal(err)
 			}
@@ -637,10 +641,12 @@ var (
 // BenchmarkClusterBuild times the per-graph work of a cluster-cache miss
 // at 4 workers × 2 PS, training. build is Build, and also reports
 // retained-B/op: the heap a built cluster keeps per op with one iteration
-// run (see retainedPerOp); digest is core.GraphDigest of the built graph,
-// which the service keys schedules by; refworker is one copy of the
-// reference worker out of the graph, which ReferenceWorker pays on its
-// first call and again after a GC has collected the held one.
+// run (see retainedPerOp); compact is Build then Compact, as the service
+// caches a cluster, with the retained-B/op of a compacted cluster; digest
+// is core.GraphDigest of the built graph, which the service keys schedules
+// by; refworker is one reference worker built from the worker template,
+// which ReferenceWorker pays on its first call and again after a GC has
+// collected the held one.
 func BenchmarkClusterBuild(b *testing.B) {
 	for _, name := range []string{"AlexNet v2", "ResNet-101 v2"} {
 		spec, ok := model.ByName(name)
@@ -660,7 +666,20 @@ func BenchmarkClusterBuild(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(retainedPerOp(b, cfg).total, "retained-B/op")
+			b.ReportMetric(retainedPerOp(b, cfg, false).total, "retained-B/op")
+		})
+		b.Run(name+"/compact", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if heldCluster, err = Build(cfg); err != nil {
+					b.Fatal(err)
+				}
+				if err := heldCluster.Compact(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(retainedPerOp(b, cfg, true).total, "retained-B/op")
 		})
 		b.Run(name+"/digest", func(b *testing.B) {
 			b.ReportAllocs()
@@ -671,7 +690,7 @@ func BenchmarkClusterBuild(b *testing.B) {
 		b.Run(name+"/refworker", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				heldGraph = c.buildReferenceWorker()
+				heldGraph = c.held.buildReferenceWorker()
 			}
 		})
 	}

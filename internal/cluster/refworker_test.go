@@ -34,7 +34,7 @@ func TestReferenceWorkerSharedEqualsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, fresh := c.ReferenceWorker(), c.buildReferenceWorker()
+		shared, fresh := c.ReferenceWorker(), c.held.buildReferenceWorker()
 		if shared.Len() != fresh.Len() || shared.NumEdges() != fresh.NumEdges() {
 			t.Fatalf("iterations %d: shared has %d ops/%d edges, fresh %d/%d",
 				iters, shared.Len(), shared.NumEdges(), fresh.Len(), fresh.NumEdges())
@@ -107,9 +107,9 @@ func TestReferenceWorkerHeldWeakly(t *testing.T) {
 	}
 	n := func() int { return c.ReferenceWorker().Len() }()
 	held := func() bool {
-		c.ref.mu.Lock()
-		defer c.ref.mu.Unlock()
-		return c.ref.g.Value() != nil
+		c.held.mu.Lock()
+		defer c.held.mu.Unlock()
+		return c.held.ref.Value() != nil
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for held() && time.Now().Before(deadline) {

@@ -9,10 +9,10 @@ import (
 // simView is the cluster graph compiled for the simulator's summary run.
 // It depends only on the graph, so it is built once per graph and shared
 // by every WithPlatforms child; the cost table, which depends on the
-// platform, is per Cluster (see costTable).
+// platform, is per Cluster (see costTable). It holds no op: everything a
+// run reads is a table indexed by op ID.
 type simView struct {
 	runner *sim.Runner
-	ops    []*graph.Op
 
 	// groups maps op ID → factor group. A group is one (device, transfer
 	// or not, parameter shard) combination. Every duration multiplier and
@@ -38,7 +38,11 @@ type simView struct {
 
 // newSimView builds the view of c's graph.
 func newSimView(c *Cluster) (*simView, error) {
-	runner, err := sim.NewRunner(c.Graph)
+	g, err := c.graph()
+	if err != nil {
+		return nil, err
+	}
+	runner, err := sim.NewRunner(g)
 	if err != nil {
 		return nil, err
 	}
@@ -50,10 +54,9 @@ func newSimView(c *Cluster) (*simView, error) {
 	for j := 0; j < ps; j++ {
 		devices[PSDevice(j)] = workers + j
 	}
-	ops := c.Graph.Ops()
+	ops := g.Ops()
 	v := &simView{
 		runner:    runner,
-		ops:       ops,
 		groups:    make([]int32, len(ops)),
 		workers:   workers,
 		ps:        ps,
@@ -240,7 +243,9 @@ func (v *simView) observe(s *sim.Summary, active []bool, it *Iteration) {
 }
 
 // recvKeys returns worker 0's recv transfer keys in dispatch order, or nil
-// when it dispatched none.
+// when it dispatched none. model.BuildWorker tags every recv with its
+// parameter, which is its transfer key, so the Runner's key index holds
+// every one.
 //
 //tictac:hotpath
 func (v *simView) recvKeys(s *sim.Summary) []string {
@@ -254,7 +259,7 @@ func (v *simView) recvKeys(s *sim.Summary) []string {
 	}
 	keys := make([]string, len(ids))
 	for i, id := range ids {
-		keys[i] = core.Key(v.ops[id])
+		keys[i] = v.runner.TransferKey(id)
 	}
 	return keys
 }

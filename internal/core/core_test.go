@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -519,23 +519,34 @@ func TestQuickEfficiencyMonotone(t *testing.T) {
 	}
 }
 
-// TestPositionsMemoizedPerGraph: Positions equals Compile, returns one
-// shared table for repeated calls on a graph, and recompiles for another.
+// TestPositionsMemoizedPerGraph: a table memoized under one graph's key is
+// what Positions returns for that key, and nothing for another graph's key,
+// whose table then replaces it.
 func TestPositionsMemoizedPerGraph(t *testing.T) {
 	g, h := figure1(), figure1()
 	s, err := TAC(g, fixedOracle{def: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := s.Positions(g)
-	if !reflect.DeepEqual(pos, s.Compile(g)) {
-		t.Fatalf("Positions %v != Compile %v", pos, s.Compile(g))
+	kg, kh := new(PositionsKey), new(PositionsKey)
+	if s.Positions(kg) != nil {
+		t.Fatal("Positions returned a table before any was memoized")
 	}
-	if again := s.Positions(g); &again[0] != &pos[0] {
-		t.Fatal("second Positions call on the same graph recompiled")
+	pos := s.Compile(g)
+	s.Memoize(kg, pos)
+	if got := s.Positions(kg); &got[0] != &pos[0] {
+		t.Fatal("Positions did not return the table memoized under its key")
 	}
-	other := s.Positions(h)
-	if &other[0] == &pos[0] || !reflect.DeepEqual(other, s.Compile(h)) {
-		t.Fatal("Positions for another graph reused the first graph's table")
+	if s.Positions(kh) != nil {
+		t.Fatal("Positions for another key returned the first key's table")
 	}
+	other := s.Compile(h)
+	s.Memoize(kh, other)
+	if got := s.Positions(kh); &got[0] != &other[0] {
+		t.Fatal("Positions did not return the second key's table")
+	}
+	if s.Positions(kg) != nil {
+		t.Fatal("the first key's table survived another key's Memoize")
+	}
+	runtime.KeepAlive(kg)
 }

@@ -50,17 +50,24 @@ type Schedule struct {
 	posOnce  sync.Once
 	posCache map[string]int
 
-	// compiled memoizes the last Compile result for Positions. It lives
-	// and dies with the schedule and holds its graph weakly, so neither a
-	// simulator nor a cached schedule pins the other's memory.
+	// compiled memoizes the last position table a simulator compiled for
+	// the schedule (see Positions). It lives and dies with the schedule and
+	// holds its key weakly, so neither a simulator nor a cached schedule
+	// pins the other's memory.
 	compiled atomic.Pointer[compiledPositions]
 }
 
-// compiledPositions is one Compile result and the graph it belongs to.
+// compiledPositions is one position table and the key it is memoized under.
 type compiledPositions struct {
-	g   weak.Pointer[graph.Graph]
+	key weak.Pointer[PositionsKey]
 	pos []int32
 }
+
+// PositionsKey names one op-ID space that schedules are compiled into: a
+// simulator allocates one per graph it executes and memoizes the position
+// tables it compiles under it (see Positions and Memoize). Keys are told
+// apart by identity.
+type PositionsKey struct{ _ byte }
 
 // Key returns the transfer key used by schedules for the given op.
 func Key(op *graph.Op) string {
@@ -73,10 +80,16 @@ func Key(op *graph.Op) string {
 // Position returns the normalized priority number of the op's transfer in
 // [0, n), and whether the transfer is part of the schedule.
 func (s *Schedule) Position(op *graph.Op) (int, bool) {
+	return s.PositionOf(Key(op))
+}
+
+// PositionOf returns the normalized priority number of a transfer key in
+// [0, n), and whether the key is part of the schedule.
+func (s *Schedule) PositionOf(key string) (int, bool) {
 	if s == nil {
 		return 0, false
 	}
-	r, ok := s.rankIndex()[Key(op)]
+	r, ok := s.rankIndex()[key]
 	return r, ok
 }
 
@@ -101,7 +114,9 @@ func (s *Schedule) rankIndex() map[string]int {
 // slice by op.ID replaces the transfer-key string lookup of Position on
 // every dispatch decision. The table is a snapshot; it is only valid for
 // the graph it was compiled against, and positions agree exactly with
-// Position for every op of that graph.
+// Position for every op of that graph. The simulator compiles the same
+// table from its own transfer-key index, and calls Compile only for a
+// schedule that index cannot answer.
 func (s *Schedule) Compile(g *graph.Graph) []int32 {
 	pos := make([]int32, g.Len())
 	for i := range pos {
@@ -119,18 +134,23 @@ func (s *Schedule) Compile(g *graph.Graph) []int32 {
 	return pos
 }
 
-// Positions is Compile memoized on the schedule: repeated calls for the
-// same graph return one shared table, which callers must not modify. The
-// memo holds one graph at a time; asking for another graph recompiles and
-// replaces it. The table is freed with the schedule, so a long-lived
-// simulator that runs many short-lived schedules retains none of them.
-func (s *Schedule) Positions(g *graph.Graph) []int32 {
-	if c := s.compiled.Load(); c != nil && c.g.Value() == g {
+// Positions returns the position table memoized under key, or nil when
+// the schedule holds none for it. The table is shared: callers must not
+// modify it.
+func (s *Schedule) Positions(key *PositionsKey) []int32 {
+	if c := s.compiled.Load(); c != nil && c.key.Value() == key {
 		return c.pos
 	}
-	pos := s.Compile(g)
-	s.compiled.Store(&compiledPositions{g: weak.Make(g), pos: pos})
-	return pos
+	return nil
+}
+
+// Memoize keeps pos, a position table compiled for the op-ID space key
+// names, for Positions to return. The schedule keeps one table, so it
+// replaces a table memoized under any other key. The table is freed with
+// the schedule, so a long-lived simulator that runs many short-lived
+// schedules retains none of them.
+func (s *Schedule) Memoize(key *PositionsKey, pos []int32) {
+	s.compiled.Store(&compiledPositions{key: weak.Make(key), pos: pos})
 }
 
 // properties holds the per-op quantities of Algorithm 1.

@@ -12,9 +12,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"tictac/internal/cluster"
 	"tictac/internal/fleet"
 )
 
@@ -87,6 +89,11 @@ func corpusServices(t *testing.T) (plain, fleetMode http.Handler) {
 // that moves bytes on purpose regenerates the corpus with
 // `go test ./internal/service -run TestResponseCorpus -update` and names
 // every changed entry.
+//
+// A second pass replays the corpus through another pair of fresh services
+// with two GCs before every request, so every cached cluster has lost its
+// graph and reference worker when the next request reads them: the
+// rebuilt graphs and reference workers must answer with the same bytes.
 func TestResponseCorpus(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join(corpusDir, "requests.json"))
 	if err != nil {
@@ -96,37 +103,14 @@ func TestResponseCorpus(t *testing.T) {
 	if err := json.Unmarshal(raw, &reqs); err != nil {
 		t.Fatalf("requests.json: %v", err)
 	}
-	plain, fleetMode := corpusServices(t)
-
-	got := make([]corpusResponse, len(reqs))
-	bodies := make([][]byte, len(reqs))
 	names := map[string]bool{}
-	for i, rq := range reqs {
+	for _, rq := range reqs {
 		if names[rq.Name] {
 			t.Fatalf("requests.json: duplicate entry %q", rq.Name)
 		}
 		names[rq.Name] = true
-		method := rq.Method
-		if method == "" {
-			method = http.MethodPost
-		}
-		body := []byte(rq.Text)
-		if rq.Body != nil {
-			body = rq.Body
-		}
-		body = append(bytes.Repeat([]byte(" "), rq.Pad), body...)
-		req := httptest.NewRequest(method, rq.Path, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h := plain
-		if rq.Fleet {
-			h = fleetMode
-		}
-		h.ServeHTTP(rec, req)
-		sum := sha256.Sum256(rec.Body.Bytes())
-		got[i] = corpusResponse{Name: rq.Name, Status: rec.Code, SHA256: hex.EncodeToString(sum[:])}
-		bodies[i] = rec.Body.Bytes()
 	}
+	got, bodies := replayCorpus(t, reqs, false)
 
 	if *update {
 		out, err := json.MarshalIndent(got, "", "  ")
@@ -157,6 +141,60 @@ func TestResponseCorpus(t *testing.T) {
 	if len(want) != len(got) {
 		t.Fatalf("responses.json has %d entries for %d requests (run with -update after editing requests.json)", len(want), len(got))
 	}
+	compareCorpus(t, "", reqs, got, bodies, want)
+
+	graphs, refs := cluster.Rebuilds()
+	got, bodies = replayCorpus(t, reqs, true)
+	graphsGC, refsGC := cluster.Rebuilds()
+	graphsGC, refsGC = graphsGC-graphs, refsGC-refs
+	t.Logf("collected pass: %d graphs rebuilt, %d reference workers built", graphsGC, refsGC)
+	compareCorpus(t, "collected pass: ", reqs, got, bodies, want)
+	if graphsGC == 0 {
+		t.Error("collected pass: no graph was rebuilt, so the pass does not reach the rebuild path")
+	}
+}
+
+// replayCorpus sends every corpus request, in order, to a fresh pair of
+// corpus services and returns each response's digest and body. With
+// collect set it runs two GCs before every request.
+func replayCorpus(t *testing.T, reqs []corpusRequest, collect bool) ([]corpusResponse, [][]byte) {
+	t.Helper()
+	plain, fleetMode := corpusServices(t)
+	got := make([]corpusResponse, len(reqs))
+	bodies := make([][]byte, len(reqs))
+	for i, rq := range reqs {
+		method := rq.Method
+		if method == "" {
+			method = http.MethodPost
+		}
+		body := []byte(rq.Text)
+		if rq.Body != nil {
+			body = rq.Body
+		}
+		body = append(bytes.Repeat([]byte(" "), rq.Pad), body...)
+		req := httptest.NewRequest(method, rq.Path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h := plain
+		if rq.Fleet {
+			h = fleetMode
+		}
+		if collect {
+			runtime.GC()
+			runtime.GC()
+		}
+		h.ServeHTTP(rec, req)
+		sum := sha256.Sum256(rec.Body.Bytes())
+		got[i] = corpusResponse{Name: rq.Name, Status: rec.Code, SHA256: hex.EncodeToString(sum[:])}
+		bodies[i] = rec.Body.Bytes()
+	}
+	return got, bodies
+}
+
+// compareCorpus reports every replayed response that differs from the
+// committed one, with a diff against its golden file where there is one.
+func compareCorpus(t *testing.T, pass string, reqs []corpusRequest, got []corpusResponse, bodies [][]byte, want []corpusResponse) {
+	t.Helper()
 	for i, rq := range reqs {
 		g, w := got[i], want[i]
 		if g.Name != w.Name {
@@ -166,15 +204,15 @@ func TestResponseCorpus(t *testing.T) {
 			continue
 		}
 		if !rq.Full {
-			t.Errorf("%s: status %d sha256 %s, want status %d sha256 %s", rq.Name, g.Status, g.SHA256, w.Status, w.SHA256)
+			t.Errorf("%s%s: status %d sha256 %s, want status %d sha256 %s", pass, rq.Name, g.Status, g.SHA256, w.Status, w.SHA256)
 			continue
 		}
 		golden, err := os.ReadFile(filepath.Join(corpusDir, rq.Name+".golden"))
 		if err != nil {
-			t.Errorf("%s: status %d, want %d; %v", rq.Name, g.Status, w.Status, err)
+			t.Errorf("%s%s: status %d, want %d; %v", pass, rq.Name, g.Status, w.Status, err)
 			continue
 		}
-		t.Errorf("%s: status %d, want %d; the response differs from %s.golden:\n%s", rq.Name, g.Status, w.Status, rq.Name, corpusDiff(bodies[i], golden))
+		t.Errorf("%s%s: status %d, want %d; the response differs from %s.golden:\n%s", pass, rq.Name, g.Status, w.Status, rq.Name, corpusDiff(bodies[i], golden))
 	}
 }
 

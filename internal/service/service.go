@@ -128,9 +128,10 @@ type Service struct {
 	draining    atomic.Bool
 }
 
-// clusterEntry is a built cluster plus the digests derived from it once.
-// The embedded Cluster carries the shared, concurrency-safe sim.Runner that
-// every simulation of this graph reuses.
+// clusterEntry is a built, compacted cluster plus the digests derived from
+// it once. The embedded Cluster carries the shared, concurrency-safe
+// sim.Runner that every simulation of this graph reuses, and holds its
+// graph only weakly (see cluster.Cluster.Compact).
 type clusterEntry struct {
 	c              *cluster.Cluster
 	graphDigest    string
@@ -139,8 +140,7 @@ type clusterEntry struct {
 	mu sync.Mutex
 	// predictions memoizes, by policy name, what the schedule builds of a
 	// policy whose schedule is the same for every seed share on this
-	// cluster (see prediction). It holds no pointer, so it pins neither
-	// schedule nor graph, and it lives as long as the entry.
+	// cluster (see prediction). It lives as long as the entry.
 	//
 	//tictac:guardedby mu
 	predictions map[string]prediction
@@ -148,9 +148,13 @@ type clusterEntry struct {
 
 // prediction is what every seed's schedule build shares for one policy on
 // one cluster when the policy's schedule does not depend on the seed: the
-// schedule digest and, when the jitter-0 iteration made no seeded choice
-// (cluster.Iteration.SeedFree), its makespan, which every seed then gets.
+// schedule itself, its digest and, when the jitter-0 iteration made no
+// seeded choice (cluster.Iteration.SeedFree), its makespan, which every
+// seed then gets. The cluster holds a partition-only policy's schedule
+// weakly; keeping it here pins it for the entry's lifetime, so a GC does
+// not make the next seed order the reference worker again.
 type prediction struct {
+	sched          *core.Schedule
 	scheduleDigest string
 	seedFree       bool
 	makespan       float64 // valid when seedFree
@@ -276,7 +280,9 @@ type ScheduleRequest struct {
 type SimulateRequest = ScheduleRequest
 
 // buildCluster returns the cached cluster for the resolved spec, parsing
-// and digesting the graph at most once per residency.
+// and digesting the graph at most once per residency. The cached cluster
+// is compacted: it keeps the tables its simulations read and holds the
+// graph weakly.
 func (s *Service) buildCluster(r resolved) (*clusterEntry, cache.Outcome, error) {
 	return s.clusters.Do(r.key, func() (*clusterEntry, error) {
 		s.clusterBuilds.Add(1)
@@ -284,9 +290,13 @@ func (s *Service) buildCluster(r resolved) (*clusterEntry, cache.Outcome, error)
 		if err != nil {
 			return nil, err
 		}
+		digest := core.GraphDigest(c.Graph)
+		if err := c.Compact(); err != nil {
+			return nil, err
+		}
 		return &clusterEntry{
 			c:              c,
-			graphDigest:    core.GraphDigest(c.Graph),
+			graphDigest:    digest,
 			platformDigest: r.key.platformDigest,
 		}, nil
 	})
@@ -346,16 +356,19 @@ type ScheduleResult struct {
 // into a schedule response. Every cache miss builds through it, and the
 // load generator's reference is a fresh in-process service, so a served
 // answer and its reference always come from this one function. A build
-// whose cluster holds a prediction for its policy takes the schedule
-// digest from it and, when the prediction is seed-free, the makespan too,
-// instead of simulating the jitter-0 iteration; both are what this build
-// would compute. Every build that simulates adds 1 to predictions.
+// whose cluster holds a prediction for its policy takes the schedule and
+// its digest from it and, when the prediction is seed-free, the makespan
+// too, instead of simulating the jitter-0 iteration; all are what this
+// build would compute. Every build that simulates adds 1 to predictions.
 func computeScheduleResult(ce *clusterEntry, r resolved, predictions *atomic.Uint64) (*scheduleEntry, error) {
-	sc, err := ce.c.ComputeSchedule(r.policy, r.warmup, r.seed)
-	if err != nil {
-		return nil, err
-	}
 	p, memoized := ce.recall(r)
+	sc := p.sched
+	if !memoized {
+		var err error
+		if sc, err = ce.c.ComputeSchedule(r.policy, r.warmup, r.seed); err != nil {
+			return nil, err
+		}
+	}
 	if !p.seedFree {
 		// The predicted makespan reflects the fleet's iteration-0 timeline:
 		// membership events striking iteration 0 (an initially-absent
@@ -371,7 +384,7 @@ func computeScheduleResult(ce *clusterEntry, r resolved, predictions *atomic.Uin
 		}
 		p.seedFree, p.makespan = it.SeedFree, it.Makespan
 		if !memoized {
-			p.scheduleDigest = core.ScheduleDigest(sc)
+			p.sched, p.scheduleDigest = sc, core.ScheduleDigest(sc)
 			ce.remember(r, p)
 		}
 	}

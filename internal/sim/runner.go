@@ -29,10 +29,15 @@ import (
 // buffers, executes it the same way and materializes a *Result from the
 // summary.
 //
-// Schedules are consumed in compiled form through core.Schedule.Positions,
-// which memoizes the table on the schedule itself, so the measured
-// iterations of a protocol pay the compilation once and the Runner retains
-// no schedule.
+// Schedules are consumed in compiled form: the Runner compiles a
+// schedule's position table from its own transfer-key index and memoizes
+// it on the schedule under a key it owns (core.Schedule.Memoize), so the
+// measured iterations of a protocol pay the compilation once and the
+// Runner retains no schedule.
+//
+// Summarize reads only the Runner's own tables, so a long-lived caller may
+// release the graph with DropGraph; Run and a few rare paths read ops and
+// reload it then.
 //
 // A Runner is safe for concurrent use: each run borrows an exclusive state
 // (a lock-free primary slot backed by a sync.Pool for concurrent overflow),
@@ -42,22 +47,33 @@ import (
 // draw sequence, same floating-point arithmetic — pinned by the parity
 // tests against internal/sim/simref.
 type Runner struct {
-	g   *graph.Graph
-	ops []*graph.Op
+	// g is the graph NewRunner was given, nil after DropGraph; load then
+	// returns it on the paths that read ops.
+	g    *graph.Graph
+	load func() (*graph.Graph, error)
 
 	resNames []string // sorted resource tags; index = resource ID
 	devNames []string // sorted device tags; index = device ID
 
-	opRes      []int32   // op ID → resource index
-	opDev      []int32   // op ID → device index
-	succOff    []int32   // CSR offsets into succ, len(ops)+1
-	succ       []int32   // successor op IDs in Out() order
-	indeg0     []int32   // baseline indegrees
-	initReady  [][]int32 // per-resource root op IDs in op-ID order
-	isRecv     []bool
-	isTransfer []bool
+	opRes      []int32      // op ID → resource index
+	opDev      []int32      // op ID → device index
+	succOff    []int32      // CSR offsets into succ, len(ops)+1
+	succ       []int32      // successor op IDs in Out() order
+	indeg0     []int32      // baseline indegrees
+	initReady  [][]int32    // per-resource root op IDs in op-ID order
+	opKind     []graph.Kind // op ID → kind
 	totalRecvs int
 	nRecvDevs  int // devices hosting at least one recv op
+
+	// keys are the graph's distinct parameter tags, in op-ID order of first
+	// use. opKey maps op ID → the index in keys of the op's transfer key
+	// (core.Key), or -1 when that key is an op name that is no parameter
+	// tag. Compiling a schedule reads these instead of the ops.
+	keys  []string
+	opKey []int32
+	// posKey is the key schedules memoize this Runner's position tables
+	// under.
+	posKey *core.PositionsKey
 
 	// prime is the fast-path reusable state: single-goroutine callers hit
 	// it deterministically (no GC-emptied pool on the steady-state path);
@@ -87,27 +103,50 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 	}
 
 	r := &Runner{
-		g:          g,
-		ops:        ops,
-		resNames:   resNames,
-		devNames:   devNames,
-		opRes:      make([]int32, n),
-		opDev:      make([]int32, n),
-		succOff:    make([]int32, n+1),
-		indeg0:     make([]int32, n),
-		initReady:  make([][]int32, len(resNames)),
-		isRecv:     make([]bool, n),
-		isTransfer: make([]bool, n),
+		g:         g,
+		resNames:  resNames,
+		devNames:  devNames,
+		opRes:     make([]int32, n),
+		opDev:     make([]int32, n),
+		succOff:   make([]int32, n+1),
+		indeg0:    make([]int32, n),
+		initReady: make([][]int32, len(resNames)),
+		opKind:    make([]graph.Kind, n),
+		opKey:     make([]int32, n),
+		posKey:    new(core.PositionsKey),
+	}
+	keyIndex := make(map[string]int32)
+	for i, op := range ops {
+		if op.Param == "" {
+			continue
+		}
+		k, ok := keyIndex[op.Param]
+		if !ok {
+			k = int32(len(r.keys))
+			keyIndex[op.Param] = k
+			r.keys = append(r.keys, op.Param)
+		}
+		r.opKey[i] = k
+	}
+	// An op without a parameter is keyed by its name, which the index
+	// holds only when it is also a parameter tag.
+	for i, op := range ops {
+		if op.Param != "" {
+			continue
+		}
+		r.opKey[i] = -1
+		if k, ok := keyIndex[op.Name]; ok {
+			r.opKey[i] = k
+		}
 	}
 	recvDevs := make([]bool, len(devNames))
 	for i, op := range ops {
 		r.opRes[i] = int32(resIndex[op.Resource])
 		r.opDev[i] = int32(devIndex[op.Device])
 		r.indeg0[i] = int32(op.NumIn())
-		r.isRecv[i] = op.Kind == graph.Recv
-		r.isTransfer[i] = op.Kind == graph.Recv || op.Kind == graph.Send
+		r.opKind[i] = op.Kind
 		r.succOff[i+1] = r.succOff[i] + int32(op.NumOut())
-		if r.isRecv[i] {
+		if op.Kind == graph.Recv {
 			r.totalRecvs++
 			if di := devIndex[op.Device]; !recvDevs[di] {
 				recvDevs[di] = true
@@ -128,6 +167,41 @@ func NewRunner(g *graph.Graph) (*Runner, error) {
 		}
 	}
 	return r, nil
+}
+
+// DropGraph releases the Runner's reference to its graph, so a Runner kept
+// for its Summarize runs does not pin the graph's ops. The paths that
+// still read ops — Run, and compiling a schedule with a key that is no
+// parameter tag of the graph — call load instead, which must return the
+// graph NewRunner was given or one op for op the same. Call DropGraph
+// before sharing the Runner: it must not race with a run.
+func (r *Runner) DropGraph(load func() (*graph.Graph, error)) {
+	r.g, r.load = nil, load
+}
+
+// graph returns the Runner's graph, reloading it after DropGraph.
+func (r *Runner) graph() (*graph.Graph, error) {
+	if r.g != nil {
+		return r.g, nil
+	}
+	g, err := r.load()
+	if err != nil {
+		return nil, fmt.Errorf("sim: reloading the graph: %w", err)
+	}
+	if g.Len() != len(r.opRes) {
+		return nil, fmt.Errorf("sim: reloaded graph has %d ops, the Runner %d", g.Len(), len(r.opRes))
+	}
+	return g, nil
+}
+
+// TransferKey returns the transfer key (core.Key) of op id when it is a
+// parameter tag of the graph, as it is for every op with a parameter, and
+// "" when the op's key is its name, which the Runner does not keep.
+func (r *Runner) TransferKey(id int32) string {
+	if k := r.opKey[id]; k >= 0 {
+		return r.keys[k]
+	}
+	return ""
 }
 
 // DeviceIndex returns the index of a device tag in the Runner's sorted
@@ -166,6 +240,9 @@ type Plan struct {
 	Jitter      float64
 	ReorderProb float64
 	Tracer      *timing.Tracer
+	// Names is op ID → op name, the names the Tracer records durations
+	// under. Required with a Tracer, one entry per op; unread without one.
+	Names []string
 }
 
 // Summary is a finished run read in place from the Runner's recycled
@@ -246,7 +323,7 @@ type runState struct {
 }
 
 func (r *Runner) newState() *runState {
-	n := len(r.ops)
+	n := len(r.opRes)
 	st := &runState{
 		rng:   rand.New(rand.NewSource(0)),
 		indeg: make([]int32, n),
@@ -294,11 +371,15 @@ func (r *Runner) putState(st *runState) {
 //
 //tictac:hotpath
 func (r *Runner) Summarize(p *Plan, fn func(*Summary)) error {
-	if len(p.Costs) != len(r.ops) {
-		return fmt.Errorf("sim: Plan.Costs has %d entries for %d ops", len(p.Costs), len(r.ops))
+	n := len(r.opRes)
+	if len(p.Costs) != n {
+		return fmt.Errorf("sim: Plan.Costs has %d entries for %d ops", len(p.Costs), n)
 	}
-	if p.Groups != nil && len(p.Groups) != len(r.ops) {
-		return fmt.Errorf("sim: Plan.Groups has %d entries for %d ops", len(p.Groups), len(r.ops))
+	if p.Groups != nil && len(p.Groups) != n {
+		return fmt.Errorf("sim: Plan.Groups has %d entries for %d ops", len(p.Groups), n)
+	}
+	if p.Tracer != nil && len(p.Names) != n {
+		return fmt.Errorf("sim: a traced Plan has %d names for %d ops", len(p.Names), n)
 	}
 	st := r.getState()
 	err := r.exec(p, st)
@@ -317,12 +398,17 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	if cfg.Oracle == nil {
 		return nil, fmt.Errorf("sim: Config.Oracle is required")
 	}
+	g, err := r.graph()
+	if err != nil {
+		return nil, err
+	}
+	ops := g.Ops()
 	st := r.getState()
-	p := r.compile(cfg, st)
-	err := r.exec(&p, st)
+	p := r.compile(cfg, ops, st)
+	err = r.exec(&p, st)
 	var res *Result
 	if err == nil {
-		res = r.result(&st.out)
+		res = r.result(ops, &st.out)
 	}
 	r.putState(st)
 	return res, err
@@ -330,14 +416,15 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 
 // compile turns a Config into a Plan on the state's buffers: the oracle
 // and cost scale folded into one per-op duration (the same product the
-// dispatch computed, rounded once), and the mask evaluated per op.
+// dispatch computed, rounded once), and the mask evaluated per op. A traced
+// run takes its names from ops.
 //
 //tictac:hotpath
-func (r *Runner) compile(cfg Config, st *runState) Plan {
+func (r *Runner) compile(cfg Config, ops []*graph.Op, st *runState) Plan {
 	if st.cost == nil {
-		st.cost = make([]float64, len(r.ops))
+		st.cost = make([]float64, len(ops))
 	}
-	for i, op := range r.ops {
+	for i, op := range ops {
 		d := cfg.Oracle.Time(op)
 		if cfg.CostScale != nil {
 			d *= cfg.CostScale(op)
@@ -354,12 +441,18 @@ func (r *Runner) compile(cfg Config, st *runState) Plan {
 	}
 	if cfg.Disabled != nil {
 		if st.mask == nil {
-			st.mask = make([]bool, len(r.ops))
+			st.mask = make([]bool, len(ops))
 		}
-		for i, op := range r.ops {
+		for i, op := range ops {
 			st.mask[i] = cfg.Disabled(op)
 		}
 		p.Masked = st.mask
+	}
+	if cfg.Tracer != nil {
+		p.Names = make([]string, len(ops))
+		for i, op := range ops {
+			p.Names[i] = op.Name
+		}
 	}
 	return p
 }
@@ -389,7 +482,11 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 	st.plan = *p
 	st.pos = nil
 	if p.Schedule != nil {
-		st.pos = p.Schedule.Positions(r.g)
+		pos, err := r.positions(p.Schedule)
+		if err != nil {
+			return err
+		}
+		st.pos = pos
 	}
 	st.now = 0
 	st.seq = 0
@@ -443,13 +540,61 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 			st.q.pop()
 		}
 	}
-	if completed != len(r.ops) {
-		return fmt.Errorf("sim: deadlock, completed %d of %d ops", completed, len(r.ops))
+	if completed != len(r.opRes) {
+		return fmt.Errorf("sim: deadlock, completed %d of %d ops", completed, len(r.opRes))
 	}
 	out.Makespan = st.now
 	out.ReorderEvents = st.reorders
 	out.SeedFree = p.Jitter == 0 && p.ReorderProb == 0 && !st.chose
 	return nil
+}
+
+// positions returns the schedule's position table over the Runner's op
+// IDs, memoized on the schedule under the Runner's key.
+//
+//tictac:hotpath
+func (r *Runner) positions(s *core.Schedule) ([]int32, error) {
+	if pos := s.Positions(r.posKey); pos != nil {
+		return pos, nil
+	}
+	pos, err := r.compilePositions(s)
+	if err != nil {
+		return nil, err
+	}
+	s.Memoize(r.posKey, pos)
+	return pos, nil
+}
+
+// compilePositions is core.Schedule.Compile read through the transfer-key
+// index: op i takes its key's position, -1 when the schedule leaves the key
+// out. A schedule key that is no parameter tag may be the name of an op
+// without a parameter, which only the graph knows, so such a schedule
+// compiles against the graph.
+func (r *Runner) compilePositions(s *core.Schedule) ([]int32, error) {
+	kpos := make([]int32, len(r.keys))
+	matched := 0
+	for k, key := range r.keys {
+		kpos[k] = -1
+		if p, ok := s.PositionOf(key); ok {
+			kpos[k] = int32(p)
+			matched++
+		}
+	}
+	if matched < len(s.Order) {
+		g, err := r.graph()
+		if err != nil {
+			return nil, err
+		}
+		return s.Compile(g), nil
+	}
+	pos := make([]int32, len(r.opKey))
+	for i, k := range r.opKey {
+		pos[i] = -1
+		if k >= 0 {
+			pos[i] = kpos[k]
+		}
+	}
+	return pos, nil
 }
 
 // result materializes a Result from a summary: spans in completion order
@@ -458,7 +603,7 @@ func (r *Runner) exec(p *Plan, st *runState) error {
 // (if any) from bleeding into a neighbour.
 //
 //tictac:hotpath
-func (r *Runner) result(s *Summary) *Result {
+func (r *Runner) result(ops []*graph.Op, s *Summary) *Result {
 	res := &Result{
 		Makespan:       s.Makespan,
 		ReorderEvents:  s.ReorderEvents,
@@ -467,7 +612,7 @@ func (r *Runner) result(s *Summary) *Result {
 		DeviceFinish:   make(map[string]float64, len(r.devNames)),
 	}
 	for i, id := range s.Done {
-		res.Spans[i] = Span{Op: r.ops[id], Start: s.Start[id], End: s.End[id]}
+		res.Spans[i] = Span{Op: ops[id], Start: s.Start[id], End: s.End[id]}
 	}
 	backing := make([]string, 0, r.totalRecvs)
 	for di, ids := range s.recvOrd {
@@ -476,7 +621,7 @@ func (r *Runner) result(s *Summary) *Result {
 		}
 		start := len(backing)
 		for _, id := range ids {
-			backing = append(backing, core.Key(r.ops[id]))
+			backing = append(backing, core.Key(ops[id]))
 		}
 		res.RecvStartOrder[r.devNames[di]] = backing[start:len(backing):len(backing)]
 	}
@@ -539,16 +684,16 @@ func (r *Runner) dispatch(st *runState, ri int32) {
 		dur *= p.Scale[g]
 	}
 	if p.Jitter > 0 {
-		factor := 1 + p.Jitter*st.rng.NormFloat64()
+		factor := 1 + float64(p.Jitter*st.rng.NormFloat64())
 		if factor < 0.05 {
 			factor = 0.05
 		}
 		dur *= factor
 	}
 	if p.Tracer != nil {
-		p.Tracer.Record(r.ops[id].Name, dur)
+		p.Tracer.Record(p.Names[id], dur)
 	}
-	if r.isRecv[id] {
+	if r.opKind[id] == graph.Recv {
 		di := r.opDev[id]
 		st.out.recvOrd[di] = append(st.out.recvOrd[di], id)
 	}
@@ -623,7 +768,7 @@ func (r *Runner) pick(st *runState, ready []int32) (int, bool) {
 	// transfers invert — the phenomenon lives in the RPC layer (§5.1), so
 	// prioritized PS-side ops (which share the parameter's schedule key)
 	// must not draw from the inversion stream.
-	if second >= 0 && st.plan.ReorderProb > 0 && r.isTransfer[ready[best]] && st.rng.Float64() < st.plan.ReorderProb {
+	if second >= 0 && st.plan.ReorderProb > 0 && r.transfer(ready[best]) && st.rng.Float64() < st.plan.ReorderProb {
 		return second, true
 	}
 	// The candidates are the unprioritized ops in list order, then best.
@@ -643,6 +788,14 @@ func (r *Runner) pick(st *runState, ready []int32) (int, bool) {
 		}
 	}
 	return i, false
+}
+
+// transfer reports whether op id is a network transfer, a recv or a send.
+//
+//tictac:hotpath
+func (r *Runner) transfer(id int32) bool {
+	k := r.opKind[id]
+	return k == graph.Recv || k == graph.Send
 }
 
 // slot is a resource's pending completion.

@@ -72,7 +72,7 @@ func Run(g *graph.Graph, cfg sim.Config) (*sim.Result, error) {
 			dur *= cfg.CostScale(op)
 		}
 		if cfg.Jitter > 0 {
-			factor := 1 + cfg.Jitter*rng.NormFloat64()
+			factor := 1 + float64(cfg.Jitter*rng.NormFloat64())
 			if factor < 0.05 {
 				factor = 0.05
 			}
