@@ -109,18 +109,21 @@ ifdef JSON
 endif
 	$(GO) vet -vettool=bin/tictaclint ./...
 
-# FMA gate: response bytes must not depend on the CPU. On arm64 (and
-# other targets with fused multiply-add) the compiler may fuse x*y + z into
-# one instruction that rounds once, where amd64 rounds the product and the
-# sum separately; an explicit float64(x*y) conversion forbids the fusion
-# (Go spec, "Floating-point operators"). Cross-compile tictacd for
-# linux/arm64 and fail on any fused instruction in the packages whose
-# arithmetic reaches a response.
+# FMA gate: response bytes must not depend on the CPU. On arm64, ppc64le,
+# riscv64, loong64 and s390x the compiler may fuse x*y + z into one
+# instruction that rounds once, where amd64 rounds the product and the sum
+# separately; an explicit float64(x*y) conversion forbids the fusion (Go
+# spec, "Floating-point operators"). Cross-compile tictacd for each of them
+# and fail on any fused instruction in the packages whose arithmetic
+# reaches a response: FMADD, FMSUB, FNMADD and FNMSUB with any size suffix,
+# and s390x's MADB(R), MSDB(R), MAEB(R) and MSEB(R).
 fma-check:
-	GOOS=linux GOARCH=arm64 $(GO) build -o bin/tictacd-arm64 ./cmd/tictacd
-	$(GO) tool objdump -s '^tictac/internal/(sim|cluster|core|sched|cache|timing|service)\.' bin/tictacd-arm64 > bin/tictacd-arm64.asm
-	@if grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)' bin/tictacd-arm64.asm; then \
-		echo "FAIL: fused multiply-add in the daemon's arm64 build (wrap the product in float64(...))"; exit 1; fi
+	@fail=0; for arch in arm64 ppc64le riscv64 loong64 s390x; do \
+		GOOS=linux GOARCH=$$arch $(GO) build -o bin/tictacd-$$arch ./cmd/tictacd || exit 1; \
+		$(GO) tool objdump -s '^tictac/internal/(sim|cluster|core|sched|cache|timing|service)\.' bin/tictacd-$$arch > bin/tictacd-$$arch.asm || exit 1; \
+		if grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB|MADB|MSDB|MAEB|MSEB)' bin/tictacd-$$arch.asm; then \
+			echo "FAIL: fused multiply-add in the daemon's $$arch build (wrap the product in float64(...))"; fail=1; fi; \
+	done; exit $$fail
 
 # Corpus replay through a built daemon: TestResponseCorpus pins every
 # response byte in process; this sends the corpus's non-fleet requests,

@@ -36,7 +36,6 @@ import (
 // (the hetero experiment hoists map construction out of its point loop for
 // exactly this reason).
 //
-// A nil *buildCache is valid and disables memoization — every call builds.
 // The cache is scoped to one experiment invocation; nothing outlives it.
 type buildCache struct {
 	clusters *cache.Cache[cluster.Config, *cluster.Cluster]
@@ -60,9 +59,6 @@ func newBuildCache() *buildCache {
 // cluster returns the built cluster for cfg, building it at most once per
 // cache (concurrent callers for the same key block on the same build).
 func (bc *buildCache) cluster(cfg cluster.Config) (*cluster.Cluster, error) {
-	if bc == nil {
-		return cluster.Build(cfg)
-	}
 	c, _, err := bc.clusters.Do(cfg, func() (*cluster.Cluster, error) {
 		return cluster.Build(cfg)
 	})
@@ -75,10 +71,6 @@ func (bc *buildCache) schedule(cfg cluster.Config, policy string, warmup int, se
 	c, err := bc.cluster(cfg)
 	if err != nil {
 		return nil, nil, err
-	}
-	if bc == nil {
-		s, err := c.ComputeSchedule(policy, warmup, seed)
-		return c, s, err
 	}
 	key := schedKey{cfg: cfg, policy: policy, warmup: warmup, seed: seed}
 	s, _, err := bc.scheds.Do(key, func() (*core.Schedule, error) {

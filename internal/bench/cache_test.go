@@ -68,26 +68,6 @@ func TestBuildCacheSharesClustersAndSchedules(t *testing.T) {
 	}
 }
 
-// TestBuildCacheNilDisablesMemoization: a nil cache is valid and builds
-// fresh artifacts on every call (the opt-out path for one-shot callers).
-func TestBuildCacheNilDisablesMemoization(t *testing.T) {
-	var bc *buildCache
-	c1, err := bc.cluster(cacheTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, s, err := bc.schedule(cacheTestConfig(2), sched.TIC, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 == c2 {
-		t.Fatal("nil cache memoized a cluster")
-	}
-	if s == nil {
-		t.Fatal("nil cache returned no schedule")
-	}
-}
-
 // TestBuildCacheConcurrentSingleflight: concurrent requests for one key get
 // the same artifact, built exactly once (the sync.Once per entry). Run
 // under -race this is the cache's concurrency gate.
@@ -117,13 +97,13 @@ func TestBuildCacheConcurrentSingleflight(t *testing.T) {
 }
 
 // TestRunPairCachedMatchesUncached pins the memoization's bit-identity: a
-// runPair through a shared cache must produce exactly the outcomes of an
-// uncached build (schedule computation derives all randomness from the
-// seed, so reuse cannot shift any stream).
+// runPair through a shared cache must produce exactly the outcomes of a
+// build through a cache of its own (schedule computation derives all
+// randomness from the seed, so reuse cannot shift any stream).
 func TestRunPairCachedMatchesUncached(t *testing.T) {
 	o := quick()
 	cfg := cacheTestConfig(2)
-	baseWant, ticWant, _, err := runPair(cfg, sched.TIC, o, nil)
+	baseWant, ticWant, _, err := runPair(cfg, sched.TIC, o, newBuildCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,7 @@ func sweepModels(o Options) []model.Spec {
 
 // runPair measures a configuration under the baseline and under the named
 // scheduling policy, returning both outcomes and the computed schedule.
-// bc memoizes the cluster and schedule across points sharing the topology
-// (nil disables memoization).
+// bc memoizes the cluster and schedule across points sharing the topology.
 func runPair(cfg cluster.Config, policy string, o Options, bc *buildCache) (base, enforced *cluster.Outcome, sched *core.Schedule, err error) {
 	c, sched, err := bc.schedule(cfg, policy, 5, o.Seed)
 	if err != nil {

@@ -194,12 +194,13 @@ func (c Config) knownChannel(res string) bool {
 // factor-group and efficiency index (shared with WithPlatforms children)
 // and this Cluster's own cost table. None of them reads the graph's ops, so
 // Compact lets a long-lived cluster drop the graph and keep only those
-// tables. The graph, the reference worker partition and the schedule of
-// each sched.PartitionOnly policy are then each one read-only object per
-// cluster graph, shared with WithPlatforms children and held weakly: built
-// once while anyone uses it, pinning no memory after, and built again op
-// for op the same when next needed. ChainRecvsByOrder clones before
-// mutating.
+// tables. The graph and the reference worker partition are then each one
+// read-only object per cluster graph, shared with WithPlatforms children
+// and held weakly: built once while anyone uses it, pinning no memory
+// after, and built again op for op the same when next needed. The
+// schedule of each sched.PartitionOnly policy is one read-only object per
+// cluster graph too, ordered once and held as long as the cluster graph's
+// holder. ChainRecvsByOrder clones before mutating.
 type Cluster struct {
 	Config Config
 	// Graph is the full multi-device DAG executed each iteration. Build
@@ -212,8 +213,8 @@ type Cluster struct {
 	Params []model.Param
 
 	// held is what every Cluster of this graph shares with its
-	// WithPlatforms children: the graph's inputs and its weakly held
-	// artifacts.
+	// WithPlatforms children: the graph's inputs and the artifacts built
+	// from them.
 	held *graphHolder
 
 	// view is the graph compiled for the simulator, built on first use.
@@ -273,9 +274,9 @@ func (c *Cluster) graph() (*graph.Graph, error) {
 // simulation of c reads — the simulator view (the sim.Runner tables, factor
 // groups and efficiency index) and c's cost table — and then drops the
 // graph: c.Graph becomes nil, and the graph is held weakly like the
-// reference worker. Simulations, schedules and reference workers need no
-// graph; a WithPlatforms child's first cost table, TraceRuns (tac's traced
-// warmup) and ChainRecvsByOrder read ops, and rebuild the graph when a GC
+// reference worker. Simulations, schedules (tac's traced warmup included)
+// and reference workers need no graph; a WithPlatforms child's first cost
+// table and ChainRecvsByOrder read ops, and rebuild the graph when a GC
 // has collected it.
 //
 // Call Compact before sharing c or deriving from it; it is not safe
@@ -362,7 +363,10 @@ func Build(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	held := &graphHolder{cfg: cfg, params: params, shard: shard}
+	held := &graphHolder{cfg: cfg, params: params, shard: shard, orders: make(map[string]*order, len(partitionOnly))}
+	for _, name := range partitionOnly {
+		held.orders[name] = new(order)
+	}
 	return &Cluster{Config: cfg, Graph: full, Shard: shard, Params: params, held: held}, nil
 }
 
@@ -661,11 +665,11 @@ func Rebuilds() (graphs, references uint64) {
 
 // graphHolder is what every Cluster of one graph shares: the inputs that
 // build the graph and its reference worker, and the artifacts built from
-// them, all held weakly — the graph once its cluster is compacted, the
-// reference worker partition and the schedules of its sched.PartitionOnly
-// policies. While any caller
-// still uses one, every call returns it; once a GC has collected it, the
-// next call builds it again, op for op the same.
+// them. The graph, once its cluster is compacted, and the reference worker
+// partition are held weakly: while any caller still uses one, every call
+// returns it; once a GC has collected it, the next call builds it again,
+// op for op the same. The schedules of the sched.PartitionOnly policies
+// are held strongly, each ordered once.
 type graphHolder struct {
 	// cfg, params and shard build the graph and the reference worker.
 	// Build sets them before the holder is shared, and they never change
@@ -683,10 +687,31 @@ type graphHolder struct {
 	mu sync.Mutex
 	//tictac:guardedby mu
 	ref weak.Pointer[graph.Graph]
-	// orders maps a policy name to its schedule of the reference worker.
-	//tictac:guardedby mu
-	orders map[string]weak.Pointer[core.Schedule]
+
+	// orders maps each sched.PartitionOnly policy's name to its schedule of
+	// the reference worker. Build fills the map, which never changes after.
+	orders map[string]*order
 }
+
+// order is one sched.PartitionOnly policy's schedule of a cluster graph,
+// ordered on first use.
+type order struct {
+	once  sync.Once
+	sched *core.Schedule
+	err   error
+}
+
+// partitionOnly lists the policies that implement sched.PartitionOnly.
+var partitionOnly = func() []string {
+	var names []string
+	for _, name := range sched.Names() {
+		p, _ := sched.New(name, 0)
+		if _, ok := p.(sched.PartitionOnly); ok {
+			names = append(names, name)
+		}
+	}
+	return names
+}()
 
 // hold starts holding g, the cluster graph, weakly.
 func (h *graphHolder) hold(g *graph.Graph) {
@@ -767,8 +792,7 @@ func (h *graphHolder) buildReferenceWorker() *graph.Graph {
 //
 // A policy that implements sched.PartitionOnly orders once per cluster
 // graph: every call on this cluster or a WithPlatforms child, for any
-// seed and warmup, returns the same schedule while any caller still holds
-// it (held weakly, like ReferenceWorker). Such a schedule is shared and
+// seed and warmup, returns the same schedule. Such a schedule is shared and
 // read-only: callers must not modify its Rank or Order.
 //
 // On a heterogeneous cluster the oracle path sees the full PlatformMap
@@ -784,53 +808,28 @@ func (c *Cluster) ComputeSchedule(policy string, warmupIters int, seed int64) (*
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if oo, ok := p.(sched.OracleOrderer); ok {
-		oracle, err := c.TraceOracle(warmupIters, seed, timing.EstimateMin)
+		ref := c.ReferenceWorker() // held, so that TraceRuns reads the same one
+		tracer, err := c.TraceRuns(warmupIters, seed)
 		if err != nil {
 			return nil, err
 		}
-		return oo.OrderWithOracle(c.ReferenceWorker(), oracle)
+		return oo.OrderWithOracle(ref, c.OracleFromTrace(tracer, timing.EstimateMin))
 	}
 	plat := c.Config.Platform
 	if c.Config.Platforms != nil {
 		plat = c.Config.Platforms.For(WorkerDevice(0))
 	}
-	if _, ok := p.(sched.PartitionOnly); ok {
-		return c.partitionOrder(p, &plat)
+	if o := c.held.orders[p.Name()]; o != nil {
+		o.once.Do(func() { o.sched, o.err = p.Order(c.ReferenceWorker(), &plat) })
+		return o.sched, o.err
 	}
 	return p.Order(c.ReferenceWorker(), &plat)
 }
 
-// partitionOrder returns the held schedule of a sched.PartitionOnly policy
-// on this cluster graph, ordering the reference worker when none is held.
-// It orders outside the lock, because Order calls ReferenceWorker, which
-// takes it, and publishes only into an empty slot, so concurrent first
-// calls all return the first schedule published.
-func (c *Cluster) partitionOrder(p sched.Policy, plat *timing.Platform) (*core.Schedule, error) {
-	name, h := p.Name(), c.held
-	h.mu.Lock()
-	s := h.orders[name].Value()
-	h.mu.Unlock()
-	if s != nil {
-		return s, nil
-	}
-	s, err := p.Order(c.ReferenceWorker(), plat)
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if held := h.orders[name].Value(); held != nil {
-		return held, nil
-	}
-	if h.orders == nil {
-		h.orders = make(map[string]weak.Pointer[core.Schedule])
-	}
-	h.orders[name] = weak.Make(s)
-	return s, nil
-}
-
 // TraceRuns runs warmup baseline iterations with the tracing module
-// attached and returns the tracer (§5: tracing module). Callers can derive
+// attached to the reference worker partition and returns the tracer (§5:
+// tracing module), which holds each reference op's measured durations
+// under its ReferenceWorker name, one sample per run. Callers can derive
 // estimators of several kinds from the one trace via OracleFromTrace — the
 // oracle-estimator ablation compares three reductions of identical samples.
 func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error) {
@@ -845,20 +844,18 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 	if err != nil {
 		return nil, err
 	}
-	g, err := c.graph()
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, g.Len())
-	for i, op := range g.Ops() {
-		names[i] = op.Name
-	}
+	ref := c.ReferenceWorker().Ops()
 	tracer := timing.NewTracer()
-	plan := sim.Plan{Costs: costs, Jitter: c.Config.Platform.Jitter, Tracer: tracer, Names: names}
+	plan := sim.Plan{Costs: costs, Jitter: c.Config.Platform.Jitter, Durations: make([]float64, len(costs))}
 	for i := 0; i < warmupIters; i++ {
 		plan.Seed = seed + int64(i)
 		if err := v.runner.Summarize(&plan, func(*sim.Summary) {}); err != nil {
 			return nil, err
+		}
+		// effOps lists the reference replica's full-graph IDs in
+		// reference-op order.
+		for k, id := range v.effOps {
+			tracer.Record(ref[k].Name, plan.Durations[id])
 		}
 	}
 	return tracer, nil
@@ -868,25 +865,7 @@ func (c *Cluster) TraceRuns(warmupIters int, seed int64) (*timing.Tracer, error)
 // by reference-worker op names. kind selects the reduction (the paper uses
 // min of 5 runs).
 func (c *Cluster) OracleFromTrace(tracer *timing.Tracer, kind timing.EstimateKind) timing.Oracle {
-	// Trace names carry the worker prefix; rekey to reference names.
-	prefix := c.refPrefix()
-	est := tracer.Estimator(kind, c.oracle())
-	return timing.OracleFunc(func(op *graph.Op) float64 {
-		probe := *op
-		probe.Name = prefix + op.Name
-		return est.Time(&probe)
-	})
-}
-
-// TraceOracle runs warmup baseline iterations and returns a time oracle
-// estimated from the measurements (§5: tracing module → time oracle
-// estimator). It is TraceRuns followed by OracleFromTrace.
-func (c *Cluster) TraceOracle(warmupIters int, seed int64, kind timing.EstimateKind) (timing.Oracle, error) {
-	tracer, err := c.TraceRuns(warmupIters, seed)
-	if err != nil {
-		return nil, err
-	}
-	return c.OracleFromTrace(tracer, kind), nil
+	return tracer.Estimator(kind, c.oracle())
 }
 
 // ChainRecvsByOrder returns a clone of the cluster graph with every

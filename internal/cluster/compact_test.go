@@ -18,7 +18,10 @@ import (
 // op without a parameter, and tic's half plus a key no op has, and
 // requires each iteration to equal the one an uncompacted twin runs. The
 // op name is no parameter tag, so its schedule compiles against the graph,
-// which the cluster rebuilds exactly once; the test runs alone, so the
+// which the cluster rebuilds exactly once. Once two more GCs have collected
+// that graph, the compacted cluster's own tac schedule must equal the
+// twin's and rebuild none: the traced warmup reads the reference replica
+// through the simulator view's tables. The test runs alone, so the
 // process-wide rebuild count is its own.
 func TestCompactedClusterRunsMatchTwin(t *testing.T) {
 	for _, spec := range model.Catalog() {
@@ -82,6 +85,22 @@ func TestCompactedClusterRunsMatchTwin(t *testing.T) {
 			}
 			if now, _ := Rebuilds(); now-rebuilt != 1 {
 				t.Fatalf("%s/%s: the schedules rebuilt the graph %d times, want once (for the op name)", spec.Name, mode, now-rebuilt)
+			}
+			runtime.GC()
+			runtime.GC()
+			if c.held.holdsGraph() {
+				t.Fatalf("%s/%s: the rebuilt graph survived two GCs", spec.Name, mode)
+			}
+			rebuilt, _ = Rebuilds()
+			tac, err := c.ComputeSchedule(sched.TAC, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if now, _ := Rebuilds(); now != rebuilt {
+				t.Fatalf("%s/%s: a tac schedule rebuilt the graph %d times, want none", spec.Name, mode, now-rebuilt)
+			}
+			if want := schedules[slices.Index(sched.Names(), sched.TAC)]; !reflect.DeepEqual(tac.Order, want.Order) || !reflect.DeepEqual(tac.Rank, want.Rank) {
+				t.Fatalf("%s/%s: the compacted cluster's tac schedule differs from its twin's", spec.Name, mode)
 			}
 		}
 	}

@@ -77,8 +77,8 @@ func TestConcurrentRunIterationSharedCluster(t *testing.T) {
 // TestCompactedClusterConcurrentRebuild drives one compacted cluster whose
 // graph two GCs have collected from 12 goroutines at once: four derive a
 // WithPlatforms child and simulate on it (the child's first cost table
-// reads ops), four compute a tac schedule (its traced warmup reads op
-// names) and four simulate on the cluster itself, which reads no graph.
+// reads ops), four compute a tac schedule and four simulate on the cluster
+// itself; neither of the last two reads the graph.
 // Every result must equal an uncompacted twin's, and the graph must be
 // rebuilt exactly once. The collector is off while the goroutines run, so
 // the rebuilt graph stays held for every goroutine that asks for it; the

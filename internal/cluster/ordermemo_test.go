@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tictac/internal/core"
 	"tictac/internal/model"
@@ -34,8 +32,8 @@ func partitionOnlyPolicies(t *testing.T) []string {
 
 // TestPartitionOrderShared requires every sched.PartitionOnly policy to
 // order each cluster graph once: two seeds and two warmup counts, on the
-// cluster and on a WithPlatforms child, return one schedule while it is
-// held, equal to ordering a freshly built reference worker.
+// cluster and on a WithPlatforms child, return one schedule, equal to
+// ordering a freshly built reference worker.
 func TestPartitionOrderShared(t *testing.T) {
 	for _, iters := range []int{1, 2} {
 		cfg := smallConfig(2, 1, model.Training)
@@ -106,7 +104,7 @@ func TestSeededOrdersNotShared(t *testing.T) {
 }
 
 // TestComputeScheduleReusesPartitionOrder requires a schedule-cache miss
-// under tic on a cluster whose tic order is held to skip the ordering: a
+// under tic on a cluster that has ordered tic once to skip the ordering: a
 // small constant number of allocations, whatever the seed and warmup.
 func TestComputeScheduleReusesPartitionOrder(t *testing.T) {
 	c, err := Build(smallConfig(2, 1, model.Training))
@@ -125,46 +123,11 @@ func TestComputeScheduleReusesPartitionOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if s != held {
-			t.Fatal("ComputeSchedule(tic) ordered again while the order was held")
+			t.Fatal("ComputeSchedule(tic) ordered again")
 		}
 	})
 	if allocs > 2 {
-		t.Fatalf("ComputeSchedule(tic) allocates %.0f times with its order held; want <= 2", allocs)
-	}
-	runtime.KeepAlive(held)
-}
-
-// TestPartitionOrderHeldWeakly drops the last reference to a memoized
-// schedule and requires the holder to let it go: a cached cluster nobody
-// is scheduling pins no order. The next call orders again, identically.
-func TestPartitionOrderHeldWeakly(t *testing.T) {
-	c, err := Build(smallConfig(2, 1, model.Training))
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := func() string {
-		s, err := c.ComputeSchedule(sched.TIC, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.ScheduleDigest(s)
-	}
-	want := digest()
-	held := func() bool {
-		c.held.mu.Lock()
-		defer c.held.mu.Unlock()
-		return c.held.orders[sched.TIC].Value() != nil
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for held() && time.Now().Before(deadline) {
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if held() {
-		t.Fatal("holder still pins the tic schedule after its last user dropped it")
-	}
-	if got := digest(); got != want {
-		t.Fatalf("reordered schedule digest %s, want %s", got, want)
+		t.Fatalf("ComputeSchedule(tic) allocates %.0f times once ordered; want <= 2", allocs)
 	}
 }
 

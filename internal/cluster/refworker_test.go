@@ -184,8 +184,8 @@ func TestConcurrentComputeScheduleSharedReference(t *testing.T) {
 
 // TestOracleFromTraceChained requires the traced oracle to answer every
 // reference op from its trace on a chained graph too, where the reference
-// replica's ops carry an iteration prefix: a min-of-k estimate must equal
-// the traced minimum, not the analytic fallback.
+// replica's ops carry an iteration prefix in the full graph: a min-of-k
+// estimate must equal the traced minimum, not the analytic fallback.
 func TestOracleFromTraceChained(t *testing.T) {
 	for _, iters := range []int{1, 2} {
 		cfg := smallConfig(2, 1, model.Training)
@@ -200,10 +200,9 @@ func TestOracleFromTraceChained(t *testing.T) {
 		}
 		est := c.OracleFromTrace(tracer, timing.EstimateMin)
 		fallback := c.oracle()
-		prefix := c.refPrefix()
 		differs := 0
 		for _, op := range c.ReferenceWorker().Ops() {
-			xs := tracer.Samples(prefix + op.Name)
+			xs := tracer.Samples(op.Name)
 			if len(xs) == 0 {
 				t.Fatalf("iterations %d: no trace samples for %s", iters, op.Name)
 			}

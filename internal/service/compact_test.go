@@ -107,12 +107,13 @@ func TestWhatIfRebuildsOneGraphPerDerivedCluster(t *testing.T) {
 	}
 }
 
-// TestPredictionPinsSharedSchedule requires a cluster's prediction memo to
-// keep a partition-only policy's schedule alive once no schedule-cache
-// entry holds it: with the tic entry evicted from a 2-entry schedule cache
-// and two GCs run, a new seed's tic miss orders nothing and builds no
-// reference worker. Without the pin, the GC clears the weakly held order
-// and reference worker, and the miss builds both again.
+// TestPredictionPinsSharedSchedule requires a cached cluster to keep a
+// partition-only policy's schedule alive once no schedule-cache entry
+// holds it: with the tic entry evicted from a 2-entry schedule cache and
+// two GCs run, a new seed's tic miss orders nothing and builds no
+// reference worker. Were the cluster to hold the order weakly, the GC
+// would clear it and the weakly held reference worker, and the miss would
+// build both again.
 func TestPredictionPinsSharedSchedule(t *testing.T) {
 	h := New(Options{CacheCapacity: 2}).Handler()
 	const body = `{"workload": {"model": "Inception v1", "policy": %q, "workers": 2, "ps": 1, "seed": %d}}`

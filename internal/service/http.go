@@ -183,20 +183,7 @@ func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) error {
 // SimulateResult is the deterministic payload of a simulate response (and,
 // variant by variant, of a batch response).
 type SimulateResult struct {
-	Model   string `json:"model"`
-	Mode    string `json:"mode"`
-	Workers int    `json:"workers"`
-	PS      int    `json:"ps"`
-	Env     string `json:"env"`
-	Policy  string `json:"policy"`
-	Seed    int64  `json:"seed"`
-
-	GraphDigest    string `json:"graph_digest"`
-	PlatformDigest string `json:"platform_digest"`
-	ScheduleDigest string `json:"schedule_digest"`
-	// MembershipDigest fingerprints the workload's membership events
-	// (empty for a static fleet).
-	MembershipDigest string `json:"membership_digest"`
+	ResultHeader
 
 	WarmupIterations  int `json:"warmup_iterations"`
 	MeasureIterations int `json:"measure_iterations"`
@@ -225,7 +212,8 @@ type SimulateResponse struct {
 // its cluster + schedule entries. Both /v1/simulate and every /v1/batch
 // variant produce their result through this one function, so a batch
 // variant's payload is structurally guaranteed to match the individual
-// simulate response for the same spec.
+// simulate response for the same spec. The header is the schedule entry's:
+// its key holds r's seed and membership digest.
 func computeSimulateResult(ce *clusterEntry, e *scheduleEntry, r resolved) (SimulateResult, error) {
 	out, err := ce.c.Run(cluster.Experiment{Warmup: r.warmupIters, Measure: r.measureIters}, cluster.RunOptions{
 		Schedule:    e.sched,
@@ -246,17 +234,7 @@ func computeSimulateResult(ce *clusterEntry, e *scheduleEntry, r resolved) (Simu
 		return SimulateResult{}, err
 	}
 	result := SimulateResult{
-		Model:                e.result.Model,
-		Mode:                 e.result.Mode,
-		Workers:              e.result.Workers,
-		PS:                   e.result.PS,
-		Env:                  e.result.Env,
-		Policy:               e.result.Policy,
-		Seed:                 r.seed,
-		GraphDigest:          e.result.GraphDigest,
-		PlatformDigest:       e.result.PlatformDigest,
-		ScheduleDigest:       e.result.ScheduleDigest,
-		MembershipDigest:     r.membershipDigest,
+		ResultHeader:         e.header,
 		WarmupIterations:     r.warmupIters,
 		MeasureIterations:    r.measureIters,
 		MeanMakespan:         out.MeanMakespan,

@@ -148,13 +148,10 @@ type clusterEntry struct {
 
 // prediction is what every seed's schedule build shares for one policy on
 // one cluster when the policy's schedule does not depend on the seed: the
-// schedule itself, its digest and, when the jitter-0 iteration made no
-// seeded choice (cluster.Iteration.SeedFree), its makespan, which every
-// seed then gets. The cluster holds a partition-only policy's schedule
-// weakly; keeping it here pins it for the entry's lifetime, so a GC does
-// not make the next seed order the reference worker again.
+// schedule's digest and, when the jitter-0 iteration made no seeded choice
+// (cluster.Iteration.SeedFree), its makespan, which every seed then gets.
+// The schedule itself is the cluster's (see cluster.Cluster.ComputeSchedule).
 type prediction struct {
-	sched          *core.Schedule
 	scheduleDigest string
 	seedFree       bool
 	makespan       float64 // valid when seedFree
@@ -202,12 +199,13 @@ type scheduleKey struct {
 
 // scheduleEntry is a computed schedule plus its canonical response payload.
 // payload is marshaled exactly once at build time, so every response for
-// this key — hit, miss or coalesced — serves the same bytes. spec is the
-// workload that produced the entry; fleet drain streams it to the entry's
-// new owner, which recomputes the same bytes deterministically.
+// this key — hit, miss or coalesced — serves the same bytes; header is the
+// payload's head, which a simulate result of the same key repeats. spec is
+// the workload that produced the entry; fleet drain streams it to the
+// entry's new owner, which recomputes the same bytes deterministically.
 type scheduleEntry struct {
 	sched   *core.Schedule
-	result  ScheduleResult
+	header  ResultHeader
 	payload []byte
 	spec    WorkloadSpec
 }
@@ -322,10 +320,11 @@ func (s *Service) derivedCluster(base *clusterEntry, r resolved) (*clusterEntry,
 	})
 }
 
-// ScheduleResult is the deterministic payload of a schedule response: a
-// pure function of the request, cached and served byte-identically to every
-// requester of the same semantic content.
-type ScheduleResult struct {
+// ResultHeader is the head of both result payloads, schedule and simulate:
+// the workload and the digests of its graph, platform, schedule and
+// membership. Each payload embeds it first, so encoding/json writes these
+// fields first, in this order.
+type ResultHeader struct {
 	Model   string `json:"model"`
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
@@ -341,6 +340,13 @@ type ScheduleResult struct {
 	// (empty for a static fleet); it diverges the moment the planned churn
 	// differs, so clients can assert they were not served a stale schedule.
 	MembershipDigest string `json:"membership_digest"`
+}
+
+// ScheduleResult is the deterministic payload of a schedule response: a
+// pure function of the request, cached and served byte-identically to every
+// requester of the same semantic content.
+type ScheduleResult struct {
+	ResultHeader
 
 	Algorithm string         `json:"algorithm"`
 	Transfers int            `json:"transfers"`
@@ -356,19 +362,16 @@ type ScheduleResult struct {
 // into a schedule response. Every cache miss builds through it, and the
 // load generator's reference is a fresh in-process service, so a served
 // answer and its reference always come from this one function. A build
-// whose cluster holds a prediction for its policy takes the schedule and
-// its digest from it and, when the prediction is seed-free, the makespan
-// too, instead of simulating the jitter-0 iteration; all are what this
-// build would compute. Every build that simulates adds 1 to predictions.
+// whose cluster holds a prediction for its policy takes the schedule digest
+// from it and, when the prediction is seed-free, the makespan too, instead
+// of simulating the jitter-0 iteration; both are what this build would
+// compute. Every build that simulates adds 1 to predictions.
 func computeScheduleResult(ce *clusterEntry, r resolved, predictions *atomic.Uint64) (*scheduleEntry, error) {
-	p, memoized := ce.recall(r)
-	sc := p.sched
-	if !memoized {
-		var err error
-		if sc, err = ce.c.ComputeSchedule(r.policy, r.warmup, r.seed); err != nil {
-			return nil, err
-		}
+	sc, err := ce.c.ComputeSchedule(r.policy, r.warmup, r.seed)
+	if err != nil {
+		return nil, err
 	}
+	p, memoized := ce.recall(r)
 	if !p.seedFree {
 		// The predicted makespan reflects the fleet's iteration-0 timeline:
 		// membership events striking iteration 0 (an initially-absent
@@ -384,22 +387,24 @@ func computeScheduleResult(ce *clusterEntry, r resolved, predictions *atomic.Uin
 		}
 		p.seedFree, p.makespan = it.SeedFree, it.Makespan
 		if !memoized {
-			p.sched, p.scheduleDigest = sc, core.ScheduleDigest(sc)
+			p.scheduleDigest = core.ScheduleDigest(sc)
 			ce.remember(r, p)
 		}
 	}
 	result := ScheduleResult{
-		Model:             ce.c.Config.Model.Name,
-		Mode:              r.mode,
-		Workers:           ce.c.Config.Workers,
-		PS:                ce.c.Config.PS,
-		Env:               r.env,
-		Policy:            r.policy,
-		Seed:              r.seed,
-		GraphDigest:       ce.graphDigest,
-		PlatformDigest:    ce.platformDigest,
-		ScheduleDigest:    p.scheduleDigest,
-		MembershipDigest:  r.membershipDigest,
+		ResultHeader: ResultHeader{
+			Model:            ce.c.Config.Model.Name,
+			Mode:             r.mode,
+			Workers:          ce.c.Config.Workers,
+			PS:               ce.c.Config.PS,
+			Env:              r.env,
+			Policy:           r.policy,
+			Seed:             r.seed,
+			GraphDigest:      ce.graphDigest,
+			PlatformDigest:   ce.platformDigest,
+			ScheduleDigest:   p.scheduleDigest,
+			MembershipDigest: r.membershipDigest,
+		},
 		Algorithm:         string(core.AlgoNone),
 		Order:             []string{},
 		Rank:              map[string]int{},
@@ -415,7 +420,7 @@ func computeScheduleResult(ce *clusterEntry, r resolved, predictions *atomic.Uin
 	if err != nil {
 		return nil, err
 	}
-	return &scheduleEntry{sched: sc, result: result, payload: payload, spec: r.spec}, nil
+	return &scheduleEntry{sched: sc, header: result.ResultHeader, payload: payload, spec: r.spec}, nil
 }
 
 // scheduleFor returns the cached schedule entry for a resolved spec on an

@@ -143,7 +143,8 @@ func TestRunnerParityAllTable1Models(t *testing.T) {
 
 // TestRunnerParityAcrossSeeds sweeps seeds on a multi-PS cluster with an
 // aggressive reorder rate, so the inversion branch and unprioritized
-// tie-breaks are exercised heavily on both implementations.
+// tie-breaks are exercised heavily on both implementations. A tracer on
+// each side must hold every op's samples bit for bit and in seed order.
 func TestRunnerParityAcrossSeeds(t *testing.T) {
 	c := parityCluster(t, "Inception v1", 4, 2)
 	s, err := c.ComputeSchedule("tic", 2, 1)
@@ -156,15 +157,17 @@ func TestRunnerParityAcrossSeeds(t *testing.T) {
 	}
 	oracle := c.Config.Platform.Oracle()
 	sawReorder := false
+	wantTrace, gotTrace := timing.NewTracer(), timing.NewTracer()
 	for seed := int64(0); seed < 10; seed++ {
 		cfg := sim.Config{
 			Oracle: oracle, Schedule: s, Seed: seed,
-			Jitter: 0.05, ReorderProb: 0.2,
+			Jitter: 0.05, ReorderProb: 0.2, Tracer: wantTrace,
 		}
 		want, err := simref.Run(c.Graph, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Tracer = gotTrace
 		got, err := r.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -176,6 +179,17 @@ func TestRunnerParityAcrossSeeds(t *testing.T) {
 	}
 	if !sawReorder {
 		t.Fatal("reorder branch never taken at prob 0.2 — parity sweep is not exercising inversions")
+	}
+	for _, op := range c.Graph.Ops() {
+		w, g := wantTrace.Samples(op.Name), gotTrace.Samples(op.Name)
+		if len(w) != 10 || len(g) != len(w) {
+			t.Fatalf("%s: %d traced samples, simref %d; want 10", op.Name, len(g), len(w))
+		}
+		for k := range w {
+			if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
+				t.Fatalf("%s: sample %d is %v, simref %v", op.Name, k, g[k], w[k])
+			}
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"tictac/internal/core"
 	"tictac/internal/graph"
-	"tictac/internal/timing"
 )
 
 // Runner is a reusable discrete-event executor bound to one graph.
@@ -234,15 +233,15 @@ type Plan struct {
 	// Masked, when non-nil, is group → whether the group's ops are masked
 	// out of the run: Config.Disabled in table form.
 	Masked []bool
-	// Schedule, Seed, Jitter, ReorderProb and Tracer are as in Config.
+	// Schedule, Seed, Jitter and ReorderProb are as in Config.
 	Schedule    *core.Schedule
 	Seed        int64
 	Jitter      float64
 	ReorderProb float64
-	Tracer      *timing.Tracer
-	// Names is op ID → op name, the names the Tracer records durations
-	// under. Required with a Tracer, one entry per op; unread without one.
-	Names []string
+	// Durations, when non-nil, is op ID → the op's duration after scale and
+	// jitter, which the run writes for every op it executes: the tracing
+	// module's measurements in table form. One entry per op.
+	Durations []float64
 }
 
 // Summary is a finished run read in place from the Runner's recycled
@@ -378,8 +377,8 @@ func (r *Runner) Summarize(p *Plan, fn func(*Summary)) error {
 	if p.Groups != nil && len(p.Groups) != n {
 		return fmt.Errorf("sim: Plan.Groups has %d entries for %d ops", len(p.Groups), n)
 	}
-	if p.Tracer != nil && len(p.Names) != n {
-		return fmt.Errorf("sim: a traced Plan has %d names for %d ops", len(p.Names), n)
+	if p.Durations != nil && len(p.Durations) != n {
+		return fmt.Errorf("sim: Plan.Durations has %d entries for %d ops", len(p.Durations), n)
 	}
 	st := r.getState()
 	err := r.exec(p, st)
@@ -391,7 +390,8 @@ func (r *Runner) Summarize(p *Plan, fn func(*Summary)) error {
 }
 
 // Run executes the graph once under the given configuration and returns
-// the materialized Result.
+// the materialized Result. A Config.Tracer records every executed op's
+// duration under its name after the run.
 //
 //tictac:hotpath
 func (r *Runner) Run(cfg Config) (*Result, error) {
@@ -408,6 +408,11 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	err = r.exec(&p, st)
 	var res *Result
 	if err == nil {
+		if cfg.Tracer != nil {
+			for _, id := range st.out.Done {
+				cfg.Tracer.Record(ops[id].Name, p.Durations[id])
+			}
+		}
 		res = r.result(ops, &st.out)
 	}
 	r.putState(st)
@@ -417,7 +422,7 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 // compile turns a Config into a Plan on the state's buffers: the oracle
 // and cost scale folded into one per-op duration (the same product the
 // dispatch computed, rounded once), and the mask evaluated per op. A traced
-// run takes its names from ops.
+// run gets a durations table.
 //
 //tictac:hotpath
 func (r *Runner) compile(cfg Config, ops []*graph.Op, st *runState) Plan {
@@ -437,7 +442,6 @@ func (r *Runner) compile(cfg Config, ops []*graph.Op, st *runState) Plan {
 		Seed:        cfg.Seed,
 		Jitter:      cfg.Jitter,
 		ReorderProb: cfg.ReorderProb,
-		Tracer:      cfg.Tracer,
 	}
 	if cfg.Disabled != nil {
 		if st.mask == nil {
@@ -449,10 +453,7 @@ func (r *Runner) compile(cfg Config, ops []*graph.Op, st *runState) Plan {
 		p.Masked = st.mask
 	}
 	if cfg.Tracer != nil {
-		p.Names = make([]string, len(ops))
-		for i, op := range ops {
-			p.Names[i] = op.Name
-		}
+		p.Durations = make([]float64, len(ops))
 	}
 	return p
 }
@@ -690,8 +691,8 @@ func (r *Runner) dispatch(st *runState, ri int32) {
 		}
 		dur *= factor
 	}
-	if p.Tracer != nil {
-		p.Tracer.Record(p.Names[id], dur)
+	if p.Durations != nil {
+		p.Durations[id] = dur
 	}
 	if r.opKind[id] == graph.Recv {
 		di := r.opDev[id]
